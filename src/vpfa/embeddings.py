@@ -186,6 +186,11 @@ def load_set(path: str | Path, format: str = "bin") -> EmbeddingSet:
 
 
 def _save_binary(eset: EmbeddingSet, path: Path) -> None:
+    # Checked before opening, so a set the record layout cannot hold leaves no file.
+    for field, limit in (("identity", 2**32), ("camera", 2**16)):
+        top = max((getattr(rec, field) for rec in eset.records), default=0)
+        if top >= limit:
+            raise FormatError(f"{path}: {field} {top} exceeds the binary format's limit {limit - 1}")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(BINARY_MAGIC, BINARY_VERSION, eset.dim, len(eset)))
         for rec in eset.records:

@@ -158,17 +158,19 @@ def law_of_cosines_check(zhat: np.ndarray, z_hr: np.ndarray) -> float:
     return abs(loss - expanded)
 
 
+# Elements per Adam block: its six 128 KB operands keep each pass in cache.
+ADAM_BLOCK = 16384
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    work: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_BLOCK)), repr=False)
 
     @classmethod
     def zeros_like(cls, tensors: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(t) for k, t in tensors.items()},
-            v={k: np.zeros_like(t) for k, t in tensors.items()},
-        )
+        return cls(*({k: np.zeros_like(t) for k, t in tensors.items()} for _ in "mv"))
 
 
 def adam_step(
@@ -186,20 +188,36 @@ def adam_step(
 
     The decay is folded into the gradient (g + wd * theta) before the
     moment updates; bias correction uses step index ``t`` (>= 1).
+
+    Each tensor is walked in blocks of ``ADAM_BLOCK`` elements with in-place
+    ufuncs into two scratch rows kept in ``state``, so a step allocates no
+    tensor-sized temporaries.  Each operation keeps this association, which
+    makes the result bit-identical to the unblocked formula::
+
+        g = grad + (wd * theta)
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + ((1 - beta2) * g) * g
+        theta -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps)
     """
     if t < 1:
         raise ValueError("step index t must be >= 1")
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     for name, theta in tensors.items():
-        g = grads[name] + wd * theta
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m, v = state.m[name], state.v[name]
+        if not (theta.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+            raise ValueError(f"adam_step updates C-contiguous tensors only ({name})")
+        flat = [a.reshape(-1) for a in (theta, grads[name], m, v)]
+        for lo in range(0, theta.size, ADAM_BLOCK):
+            th, gr, mb, vb = (a[lo : lo + ADAM_BLOCK] for a in flat)
+            g, tmp = state.work[:, : th.size]
+            np.add(gr, np.multiply(wd, th, out=g), out=g)
+            mb *= beta1
+            mb += np.multiply(1.0 - beta1, g, out=tmp)
+            vb *= beta2
+            vb += np.multiply(np.multiply(1.0 - beta2, g, out=tmp), g, out=tmp)
+            np.add(np.sqrt(np.divide(vb, bc2, out=tmp), out=tmp), eps, out=tmp)
+            th -= np.divide(np.multiply(lr, np.divide(mb, bc1, out=g), out=g), tmp, out=g)
     return tensors, state
 
 
@@ -225,7 +243,8 @@ def train(
     z_hr = np.stack([p.hr_mean for p in sampled])
 
     params = init_from_config(net_cfg)
-    state = AdamState.zeros_like(params.tensors())
+    theta, grads = {"theta": params.flat}, {"theta": np.empty_like(params.flat)}
+    state = AdamState.zeros_like(theta)
     order_rng = np.random.default_rng([cfg.seed, 1])
     num = z_lr.shape[0]
     steps = math.ceil(num / cfg.batch_size)
@@ -240,12 +259,9 @@ def train(
             diff = zhat - z_hr[idx]
             epoch_total += float(np.sum(diff * diff))
             grad_out = (2.0 / idx.size) * diff  # mean of per-pair losses
-            grads, _ = backward(params, trace, grad_out)
+            backward(params, trace, grad_out, out=grads["theta"])
             t += 1
-            adam_step(
-                params.tensors(), grads, state,
-                lr=cfg.learning_rate, wd=cfg.weight_decay, t=t,
-            )
+            adam_step(theta, grads, state, lr=cfg.learning_rate, wd=cfg.weight_decay, t=t)
         log.epoch_loss.append(epoch_total / num)
     log.wall_time = time.perf_counter() - start
     return params, log

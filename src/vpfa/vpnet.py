@@ -15,6 +15,7 @@ makes the network an exact identity.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,34 +44,6 @@ class NetConfig:
     seed: int = 0
 
 
-@dataclass
-class VPParams:
-    dim: int
-    hidden: int
-    w1: np.ndarray
-    b1: np.ndarray
-    gamma1: np.ndarray
-    beta1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    gamma2: np.ndarray
-    beta2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-    gamma3: np.ndarray
-    beta3: np.ndarray
-    w4: np.ndarray
-    b4: np.ndarray
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        """Parameter arrays in serialization order (live references)."""
-        return {name: getattr(self, name) for name in TENSOR_ORDER}
-
-    def copy(self) -> "VPParams":
-        kwargs = {name: getattr(self, name).copy() for name in TENSOR_ORDER}
-        return VPParams(dim=self.dim, hidden=self.hidden, **kwargs)
-
-
 def tensor_shapes(dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
     return {
         "w1": (hidden, dim), "b1": (hidden,), "gamma1": (hidden,), "beta1": (hidden,),
@@ -82,9 +55,43 @@ def tensor_shapes(dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
 
 def parameter_count(dim: int, hidden: int) -> int:
     """Exact number of learnable scalars for the given dimensions."""
-    return sum(
-        int(np.prod(shape)) for shape in tensor_shapes(dim, hidden).values()
-    )
+    return sum(math.prod(shape) for shape in tensor_shapes(dim, hidden).values())
+
+
+def tensor_views(flat: np.ndarray, dim: int, hidden: int) -> dict[str, np.ndarray]:
+    """The layout shared by parameters, gradients and the parameter file:
+    named row-major views cut from ``flat`` back to back in TENSOR_ORDER."""
+    shapes = tensor_shapes(dim, hidden)
+    sizes = [math.prod(shapes[name]) for name in TENSOR_ORDER]
+    if flat.shape != (sum(sizes),):
+        raise ValueError(f"flat buffer shape {flat.shape} != ({sum(sizes)},)")
+    views, offset = {}, 0
+    for name, size in zip(TENSOR_ORDER, sizes):
+        views[name] = flat[offset : offset + size].reshape(shapes[name])
+        offset += size
+    return views
+
+
+@dataclass
+class VPParams:
+    """All parameters in one contiguous float64 vector ``flat``; the named
+    tensors ``w1``, ``b1``, ... ``b4`` are views into it (see tensor_views)."""
+
+    dim: int
+    hidden: int
+    flat: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.flat.dtype != np.float64 or not self.flat.flags.c_contiguous:
+            raise ValueError("flat parameters must be a contiguous float64 vector")
+        self.__dict__.update(tensor_views(self.flat, self.dim, self.hidden))
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        """Parameter arrays in serialization order (live views of ``flat``)."""
+        return {name: getattr(self, name) for name in TENSOR_ORDER}
+
+    def copy(self) -> "VPParams":
+        return VPParams(self.dim, self.hidden, self.flat.copy())
 
 
 def init_params(dim: int, hidden: int, init_std: float = 1e-3, seed: int = 0) -> VPParams:
@@ -94,24 +101,13 @@ def init_params(dim: int, hidden: int, init_std: float = 1e-3, seed: int = 0) ->
     if init_std < 0:
         raise ValueError("init_std must be non-negative")
     rng = np.random.default_rng(seed)
-    return VPParams(
-        dim=dim,
-        hidden=hidden,
-        w1=init_std * rng.standard_normal((hidden, dim)),
-        b1=np.zeros(hidden),
-        gamma1=np.ones(hidden),
-        beta1=np.zeros(hidden),
-        w2=init_std * rng.standard_normal((hidden, hidden)),
-        b2=np.zeros(hidden),
-        gamma2=np.ones(hidden),
-        beta2=np.zeros(hidden),
-        w3=init_std * rng.standard_normal((hidden, hidden)),
-        b3=np.zeros(hidden),
-        gamma3=np.ones(hidden),
-        beta3=np.zeros(hidden),
-        w4=init_std * rng.standard_normal((dim, hidden)),
-        b4=np.zeros(dim),
-    )
+    params = VPParams(dim, hidden, np.zeros(parameter_count(dim, hidden)))
+    params.gamma1[...] = params.gamma2[...] = params.gamma3[...] = 1.0
+    for i in "1234":
+        weight = getattr(params, "w" + i)
+        rng.standard_normal(out=weight)
+        weight *= init_std
+    return params
 
 
 def init_from_config(cfg: NetConfig) -> VPParams:
@@ -134,9 +130,10 @@ def _layernorm(x, gamma, beta, eps):
     return gamma * xhat + beta, xhat, inv_std
 
 
-def _layernorm_backward(dy, xhat, inv_std, gamma):
-    dgamma = np.sum(dy * xhat, axis=0)
-    dbeta = np.sum(dy, axis=0)
+def _layernorm_backward(dy, xhat, inv_std, gamma, dgamma, dbeta):
+    """Input gradient; the gain/offset gradients go into ``dgamma``/``dbeta``."""
+    np.add.reduce(dy * xhat, axis=0, out=dgamma)
+    np.add.reduce(dy, axis=0, out=dbeta)
     dxhat = dy * gamma
     h = xhat.shape[-1]
     dx = (inv_std / h) * (
@@ -144,7 +141,7 @@ def _layernorm_backward(dy, xhat, inv_std, gamma):
         - np.sum(dxhat, axis=-1, keepdims=True)
         - xhat * np.sum(dxhat * xhat, axis=-1, keepdims=True)
     )
-    return dx, dgamma, dbeta
+    return dx
 
 
 @dataclass
@@ -196,11 +193,13 @@ def forward(params: VPParams, z: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
 
 
 def backward(
-    params: VPParams, trace: ForwardTrace, grad_output: np.ndarray
+    params: VPParams, trace: ForwardTrace, grad_output: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Exact gradients of the forward map for the traced inputs.
 
-    Returns a dict keyed like :data:`TENSOR_ORDER` plus the gradient with
+    The parameter gradients are written into ``out``, a flat float64 vector
+    with the parameters' layout (a new one when None), and returned as its
+    views keyed like :data:`TENSOR_ORDER`, together with the gradient with
     respect to the input (which includes the residual skip path).
     """
     grad_output = np.asarray(grad_output, dtype=np.float64)
@@ -209,46 +208,38 @@ def backward(
         raise ValueError("trace does not match the network dimensions")
     if g.shape != trace.z.shape:
         raise ValueError(f"grad_output shape {g.shape} != traced input {trace.z.shape}")
+    if out is None:
+        out = np.empty(parameter_count(params.dim, params.hidden))
+    grads = tensor_views(out, params.dim, params.hidden)
 
-    du4 = g * (1.0 - trace.residual**2)
-    grads = {"w4": du4.T @ trace.a3, "b4": du4.sum(axis=0)}
-    da3 = du4 @ params.w4
+    du = g * (1.0 - trace.residual**2)
+    np.matmul(du.T, trace.a3, out=grads["w4"])
+    np.add.reduce(du, axis=0, out=grads["b4"])
+    da = du @ params.w4
+    for i, a_in, a_out, xhat, inv in (
+        ("3", trace.a2, trace.a3, trace.xhat3, trace.inv3),
+        ("2", trace.a1, trace.a2, trace.xhat2, trace.inv2),
+        ("1", trace.z, trace.a1, trace.xhat1, trace.inv1),
+    ):
+        du = _layernorm_backward(
+            da * (a_out > 0.0), xhat, inv, getattr(params, "gamma" + i),
+            grads["gamma" + i], grads["beta" + i],
+        )
+        np.matmul(du.T, a_in, out=grads["w" + i])
+        np.add.reduce(du, axis=0, out=grads["b" + i])
+        da = du @ getattr(params, "w" + i)
 
-    dy3 = da3 * (trace.a3 > 0.0)
-    du3, grads["gamma3"], grads["beta3"] = _layernorm_backward(
-        dy3, trace.xhat3, trace.inv3, params.gamma3
-    )
-    grads["w3"] = du3.T @ trace.a2
-    grads["b3"] = du3.sum(axis=0)
-    da2 = du3 @ params.w3
-
-    dy2 = da2 * (trace.a2 > 0.0)
-    du2, grads["gamma2"], grads["beta2"] = _layernorm_backward(
-        dy2, trace.xhat2, trace.inv2, params.gamma2
-    )
-    grads["w2"] = du2.T @ trace.a1
-    grads["b2"] = du2.sum(axis=0)
-    da1 = du2 @ params.w2
-
-    dy1 = da1 * (trace.a1 > 0.0)
-    du1, grads["gamma1"], grads["beta1"] = _layernorm_backward(
-        dy1, trace.xhat1, trace.inv1, params.gamma1
-    )
-    grads["w1"] = du1.T @ trace.z
-    grads["b1"] = du1.sum(axis=0)
-
-    grad_input = g + du1 @ params.w1
+    grad_input = g + da
     if trace.single:
         grad_input = grad_input[0]
     return grads, grad_input
 
 
 def save_params(params: VPParams, path: str | Path) -> None:
-    """Write parameters as a little-endian binary file (bit-exact reload)."""
+    """Write the header, then the flat parameter vector verbatim (bit-exact reload)."""
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sIII", PARAMS_MAGIC, PARAMS_VERSION, params.dim, params.hidden))
-        for name in TENSOR_ORDER:
-            fh.write(getattr(params, name).astype("<f8", copy=False).tobytes())
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_params(path: str | Path) -> VPParams:
@@ -261,18 +252,11 @@ def load_params(path: str | Path) -> VPParams:
         raise FormatError(f"{path}: bad magic {magic!r}, not a parameter file")
     if version != PARAMS_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    shapes = tensor_shapes(dim, hidden)
-    expected = head.size + 8 * sum(int(np.prod(s)) for s in shapes.values())
+    if dim < 1 or hidden < 1:
+        raise FormatError(f"{path}: non-positive dimensions dim={dim} hidden={hidden}")
+    expected = head.size + 8 * parameter_count(dim, hidden)
     if len(data) != expected:
         raise FormatError(
             f"{path}: size mismatch, expected {expected} bytes for dim={dim} hidden={hidden}"
         )
-    offset = head.size
-    kwargs = {}
-    for name in TENSOR_ORDER:
-        shape = shapes[name]
-        count = int(np.prod(shape))
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-        kwargs[name] = arr.reshape(shape).copy()
-        offset += 8 * count
-    return VPParams(dim=dim, hidden=hidden, **kwargs)
+    return VPParams(dim, hidden, np.frombuffer(data, "<f8", offset=head.size).astype(np.float64))

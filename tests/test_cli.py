@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -86,6 +87,23 @@ class TestErrorPaths:
         assert run("stats", "--data", str(out), "--format", "csv",
                    "--out", str(tmp_path / "r.txt")) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_camera_beyond_binary_field_exits_1_without_output(self, tmp_path, capsys):
+        out = tmp_path / "s.vpfa"
+        assert run("gen", "--dim", "1", "--ids", "1", "--per-res", "65537",
+                   "--cameras", "70000", "--out", str(out)) == 1
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_dim_params_exits_1_without_output(self, synth_file, tmp_path, capsys):
+        params = tmp_path / "zero.vpnp"
+        params.write_bytes(struct.pack("<4sIII", b"VPNP", 1, 0, 0))
+        out = tmp_path / "pan.vpfa"
+        assert run("apply", "--data", str(synth_file), "--params", str(params),
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "non-positive" in err
+        assert list(tmp_path.iterdir()) == [params]
 
 
 @pytest.fixture(scope="module")

@@ -160,6 +160,24 @@ class TestBinaryFormat:
         with pytest.raises(FormatError, match="size mismatch"):
             load_set(path, "bin")
 
+    @pytest.mark.parametrize("identity, camera, field", [
+        (2**32, 0, "identity"), (0, 2**16, "camera"), (0, 70000, "camera"),
+    ])
+    def test_ids_beyond_record_fields_rejected_before_writing(
+        self, tmp_path, identity, camera, field
+    ):
+        s = EmbeddingSet(2, [EmbeddingRecord(identity, camera, Resolution(0), np.ones(2))])
+        path = tmp_path / "s.vpfa"
+        with pytest.raises(FormatError, match=field):
+            save_set(s, path, "bin")
+        assert not path.exists()
+
+    def test_largest_ids_round_trip(self, tmp_path):
+        s = EmbeddingSet(2, [EmbeddingRecord(2**32 - 1, 2**16 - 1, Resolution(0), np.ones(2))])
+        path = tmp_path / "s.vpfa"
+        save_set(s, path, "bin")
+        assert_sets_equal(load_set(path, "bin"), s)
+
 
 class TestPartition:
     def test_resolution_filter(self):

@@ -7,6 +7,7 @@ from vpfa.embeddings import EmbeddingRecord, EmbeddingSet, Resolution
 from vpfa.errors import DataError
 from vpfa.synthgen import SynthConfig, generate
 from vpfa.trainer import (
+    ADAM_BLOCK,
     AdamState,
     TrainConfig,
     adam_step,
@@ -181,7 +182,46 @@ def reference_adam_scalar(grad_fn, theta, lr, steps, beta1=0.9, beta2=0.999, eps
     return path
 
 
+def unblocked_adam(tensors, grads, m, v, lr, wd, t, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The whole-tensor Adam formula, with the association adam_step must keep."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, theta in tensors.items():
+        g = grads[name] + wd * theta
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        theta -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+
 class TestAdamStep:
+    @pytest.mark.parametrize("shapes", [
+        {"theta": (3 * ADAM_BLOCK + 1234,)},
+        {"w": (37, ADAM_BLOCK // 16), "b": (5,), "gain": (1, 3), "empty": (0,)},
+    ])
+    def test_blocked_is_bit_identical_to_unblocked_formula(self, shapes):
+        rng = np.random.default_rng(11)
+        tensors = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        ref = {k: t.copy() for k, t in tensors.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        state = AdamState.zeros_like(tensors)
+        for t in range(1, 4):
+            grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+            adam_step(tensors, grads, state, lr=3e-3, wd=1e-2, t=t)
+            unblocked_adam(ref, grads, m, v, lr=3e-3, wd=1e-2, t=t)
+        for k in shapes:
+            assert tensors[k].tobytes() == ref[k].tobytes()
+            assert state.m[k].tobytes() == m[k].tobytes()
+            assert state.v[k].tobytes() == v[k].tobytes()
+
+    def test_non_contiguous_tensor_rejected(self):
+        tensors = {"w": np.ones((4, 4))[:, :2]}
+        with pytest.raises(ValueError, match="contiguous"):
+            adam_step(tensors, {"w": np.ones((4, 2))},
+                      AdamState.zeros_like(tensors), lr=0.1)
+
     def test_zero_gradient_zero_decay_is_identity(self):
         tensors = {"a": np.array([1.0, -2.0]), "b": np.array([[3.0]])}
         before = {k: v.copy() for k, v in tensors.items()}

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,13 @@ class TestInit:
         for name in TENSOR_ORDER:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
+    def test_weights_drawn_in_layer_order(self):
+        p = init_params(5, 3, init_std=0.25, seed=4)
+        rng = np.random.default_rng(4)
+        for name in ("w1", "w2", "w3", "w4"):
+            expected = 0.25 * rng.standard_normal(getattr(p, name).shape)
+            assert getattr(p, name).tobytes() == expected.tobytes()
+
     def test_affine_and_bias_initialization(self):
         p = init_params(4, 3, init_std=0.5, seed=2)
         for name in ("b1", "b2", "b3", "b4", "beta1", "beta2", "beta3"):
@@ -69,7 +78,38 @@ class TestInit:
     def test_count_matches_actual_tensors(self):
         p = init_params(7, 5)
         total = sum(getattr(p, name).size for name in TENSOR_ORDER)
-        assert total == parameter_count(7, 5)
+        assert total == parameter_count(7, 5) == p.flat.size
+
+
+class TestFlatLayout:
+    def test_tensors_are_views_of_flat_in_order(self):
+        p = init_params(5, 3, init_std=0.1, seed=2)
+        for tensor in p.tensors().values():
+            assert np.shares_memory(tensor, p.flat)
+        joined = np.concatenate([t.ravel() for t in p.tensors().values()])
+        assert joined.tobytes() == p.flat.tobytes()
+        p.flat[:] = np.arange(p.flat.size)
+        assert p.w1[0, 0] == 0.0 and p.b4[-1] == p.flat.size - 1
+
+    def test_flat_size_must_match_dims(self):
+        with pytest.raises(ValueError, match="shape"):
+            VPParams(4, 3, np.zeros(parameter_count(4, 3) + 1))
+
+    def test_gradients_written_into_given_buffer(self):
+        rng = np.random.default_rng(6)
+        p = init_params(5, 4, init_std=0.3, seed=9)
+        _, trace = forward(p, rng.standard_normal((3, 5)))
+        grad_out = rng.standard_normal((3, 5))
+        fresh, fresh_input = backward(p, trace, grad_out)
+        buf = np.full(p.flat.size, np.nan)
+        grads, grad_input = backward(p, trace, grad_out, out=buf)
+        joined = np.concatenate([fresh[name].ravel() for name in TENSOR_ORDER])
+        assert buf.tobytes() == joined.tobytes()
+        assert grad_input.tobytes() == fresh_input.tobytes()
+        for name in TENSOR_ORDER:
+            assert np.shares_memory(grads[name], buf)
+        with pytest.raises(ValueError, match="shape"):
+            backward(p, trace, grad_out, out=np.zeros(p.flat.size - 1))
 
 
 class TestLayerNorm:
@@ -241,6 +281,22 @@ class TestPersistence:
         assert (q.dim, q.hidden) == (6, 4)
         for name in TENSOR_ORDER:
             assert getattr(q, name).tobytes() == getattr(p, name).tobytes()
+        assert q.flat.tobytes() == p.flat.tobytes()
+
+    def test_file_is_header_then_flat_buffer(self, tmp_path):
+        p = init_params(6, 4, init_std=0.7, seed=17)
+        path = tmp_path / "net.vpnp"
+        save_params(p, path)
+        header = struct.pack("<4sIII", b"VPNP", 1, 6, 4)
+        assert path.read_bytes() == header + p.flat.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("dim, hidden", [(0, 0), (0, 3), (4, 0)])
+    def test_non_positive_dims_rejected(self, tmp_path, dim, hidden):
+        path = tmp_path / "net.vpnp"
+        size = parameter_count(dim, hidden)
+        path.write_bytes(struct.pack("<4sIII", b"VPNP", 1, dim, hidden) + bytes(8 * size))
+        with pytest.raises(FormatError, match="non-positive"):
+            load_params(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "net.vpnp"
@@ -267,3 +323,5 @@ class TestPersistence:
         q = p.copy()
         q.w1[0, 0] += 1.0
         assert p.w1[0, 0] != q.w1[0, 0]
+        assert not np.shares_memory(p.flat, q.flat)
+        assert q.w1.base is not None and np.shares_memory(q.w1, q.flat)
