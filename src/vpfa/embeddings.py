@@ -233,11 +233,12 @@ def _load_binary(path: Path) -> EmbeddingSet:
 
 
 def _save_csv(eset: EmbeddingSet, path: Path) -> None:
+    values = ",".join(["%.17g"] * eset.dim)  # the same digits as format(v, ".17g")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"dim={eset.dim}\n")
         for rec in eset.records:
-            values = ",".join(format(v, ".17g") for v in rec.vector)
-            fh.write(f"{rec.identity},{rec.camera},{rec.resolution},{values}\n")
+            row = values % tuple(rec.vector.tolist())
+            fh.write(f"{rec.identity},{rec.camera},{rec.resolution},{row}\n")
 
 
 def _load_csv(path: Path) -> EmbeddingSet:
@@ -274,5 +275,8 @@ def _load_csv(path: Path) -> EmbeddingSet:
             raise FormatError(f"{path}: line {lineno}: {exc}") from exc
         if not np.all(np.isfinite(vec)):
             raise FormatError(f"{path}: line {lineno}: non-finite value")
-        records.append(EmbeddingRecord(identity, camera, resolution, vec))
+        try:
+            records.append(EmbeddingRecord(identity, camera, resolution, vec))
+        except ValueError as exc:  # a negative identity or camera
+            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
     return EmbeddingSet(dim, records, source_label=str(path))

@@ -2,22 +2,27 @@
 
 Evaluation follows the usual re-identification protocol: each query ranks
 the gallery by similarity; gallery items sharing both identity and camera
-with the query are excluded when the camera filter is on; queries with no
-remaining relevant item are skipped and counted.  Ties in similarity break
-deterministically by gallery record index.
+with the query are junk, excluded when the camera filter is on; queries with
+no remaining relevant item are skipped and counted.  Ties break by gallery
+record index.  No gallery row is sorted: a relevant item's 0-based rank is
+the number of non-junk items scoring higher, plus equal scorers at a lower
+index.  Memory: one Q x G float64 score matrix, 16 bytes per relevant pair,
+and per block at most EVAL_BLOCK comparisons and EVAL_BLOCK / m scores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
-from .embeddings import EmbeddingRecord, EmbeddingSet, Resolution
+from .embeddings import EmbeddingSet, Resolution
 from .errors import DataError
 from .vpnet import VPParams, forward
 
 RANK_KS = (1, 5, 10)
+EVAL_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -55,36 +60,30 @@ def apply_panning(
         raise ValueError(f"params dim {params.dim} != set dim {eset.dim}")
     if target not in ("lr", "all"):
         raise ValueError(f"unknown target {target!r}")
-    selected = [
-        i for i, r in enumerate(eset.records)
-        if target == "all" or r.resolution.is_lr
-    ]
-    if not selected:
-        return EmbeddingSet(eset.dim, eset.records, eset.source_label)
-    panned, _ = forward(params, np.stack([eset.records[i].vector for i in selected]))
-    out: list[EmbeddingRecord] = list(eset.records)
-    for row, i in enumerate(selected):
-        old = eset.records[i]
-        out[i] = EmbeddingRecord(old.identity, old.camera, old.resolution, panned[row])
+    out = list(eset.records)
+    selected = [i for i, r in enumerate(out) if target == "all" or r.resolution.is_lr]
+    if selected:
+        panned, _ = forward(params, np.stack([out[i].vector for i in selected]))
+        for i, vector in zip(selected, panned):
+            out[i] = replace(out[i], vector=vector)
     return EmbeddingSet(eset.dim, out, eset.source_label)
 
 
-def _score_order(query_mat, gallery_mat, metric):
-    """Ranked gallery indices per query (best first, index-stable ties)."""
+def _scores(query_mat, gallery_mat, metric):
+    """Q x G similarities, larger is better: cosine, or negated squared distance."""
     if metric == "cosine":
         qn = np.linalg.norm(query_mat, axis=1, keepdims=True)
         gn = np.linalg.norm(gallery_mat, axis=1, keepdims=True)
         if np.any(qn == 0) or np.any(gn == 0):
             raise DataError("cosine metric undefined for zero-norm vectors")
-        scores = (query_mat / qn) @ (gallery_mat / gn).T
-        return np.argsort(-scores, axis=1, kind="stable")
+        return (query_mat / qn) @ (gallery_mat / gn).T
     if metric == "euclidean":
-        sq = (
-            np.sum(query_mat**2, axis=1, keepdims=True)
-            - 2.0 * query_mat @ gallery_mat.T
-            + np.sum(gallery_mat**2, axis=1)
-        )
-        return np.argsort(sq, axis=1, kind="stable")
+        sq = 2.0 * query_mat @ gallery_mat.T  # sum(q^2) - 2 q.g + sum(g^2), in place
+        np.subtract(np.sum(query_mat**2, axis=1, keepdims=True), sq, out=sq)
+        sq += np.sum(gallery_mat**2, axis=1)
+        if not np.isfinite(sq).all():
+            raise DataError("euclidean distances overflow float64")
+        return np.negative(sq, out=sq)
     raise ValueError(f"unknown metric {metric!r}")
 
 
@@ -103,62 +102,65 @@ def evaluate(
     if len(query) == 0:
         raise DataError("query set is empty")
 
-    order = _score_order(query.matrix, gallery.matrix, metric)
-    g_ids = gallery.identity_array
-    g_cams = gallery.camera_array
+    scores = _scores(query.matrix, gallery.matrix, metric)
+    num_q, num_g = scores.shape
+    q_ids, g_ids = query.identity_array, gallery.identity_array
+    # Relevant (query, item) pairs, row-major, from the id-sorted gallery; junk scores -inf.
+    order = np.argsort(g_ids, kind="stable")
+    lo, hi = (np.searchsorted(g_ids[order], q_ids, side) for side in ("left", "right"))
+    rows = np.repeat(np.arange(num_q), hi - lo)
+    cols = order[np.arange(rows.size) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)]
+    if cross_camera_filter:
+        junk = gallery.camera_array[cols] == query.camera_array[rows]
+        scores[rows[junk], cols[junk]] = -np.inf
+        rows, cols = rows[~junk], cols[~junk]
+    counts = np.bincount(rows, minlength=num_q)
+    starts = np.cumsum(counts) - counts
 
-    hits = {k: 0 for k in ks}
-    per_query = []
-    skipped = 0
-    for qi, rec in enumerate(query.records):
-        ranked = order[qi]
-        if cross_camera_filter:
-            junk = (g_ids[ranked] == rec.identity) & (g_cams[ranked] == rec.camera)
-            ranked = ranked[~junk]
-        matches = g_ids[ranked] == rec.identity
-        if not matches.any():
-            skipped += 1
-            continue
-        first = int(np.argmax(matches))
-        for k in ks:
-            if first < k:
-                hits[k] += 1
-        cum = np.cumsum(matches)
-        precision_at_hits = cum[matches] / (np.flatnonzero(matches) + 1.0)
-        per_query.append((qi, rec.identity, float(precision_at_hits.mean())))
+    # Equal-m queries share (n, m) blocks: each AP sums one row as a 1-d mean does.
+    first, ap = np.empty(num_q, dtype=np.int64), np.empty(num_q)
+    for m in np.unique(counts[counts > 0]).tolist():
+        chosen = np.flatnonzero(counts == m)
+        step = max(1, EVAL_BLOCK // (m * num_g))
+        for qs in np.split(chosen, range(step, chosen.size, step)):
+            block = scores[qs]
+            rel = cols[starts[qs, None] + np.arange(m)]
+            vals = np.take_along_axis(block, rel, axis=1)[:, :, None]
+            better = block[:, None, :] > vals
+            # an equal score at a lower gallery index ranks first
+            better |= (block[:, None, :] == vals) & (np.arange(num_g) < rel[:, :, None])
+            pos = np.add.reduce(better, axis=2, dtype=np.min_scalar_type(num_g))
+            pos.sort(axis=1)
+            first[qs] = pos[:, 0]
+            ap[qs] = (np.arange(1, m + 1) / (pos + 1.0)).mean(axis=1)
 
-    evaluated = len(query) - skipped
+    done = counts > 0
+    evaluated = int(np.count_nonzero(done))
     if evaluated == 0:
         raise DataError("every query was skipped (no relevant gallery items)")
+    per_query = zip(np.flatnonzero(done).tolist(), q_ids[done].tolist(), ap[done].tolist())
     return RetrievalReport(
-        rank_k={k: hits[k] / evaluated for k in ks},
-        mean_ap=float(np.mean([ap for _, _, ap in per_query])),
+        rank_k={k: int(np.count_nonzero(first[done] < k)) / evaluated for k in ks},
+        mean_ap=float(np.mean(ap[done])),
         num_queries=evaluated,
-        num_skipped=skipped,
+        num_skipped=num_q - evaluated,
         metric=metric,
         per_query_ap=tuple(per_query),
     )
 
 
 def _identity_centroids(eset: EmbeddingSet) -> dict[int, np.ndarray]:
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
+    groups: dict[int, list[np.ndarray]] = {}
     for rec in eset.records:
-        if rec.identity in sums:
-            sums[rec.identity] = sums[rec.identity] + rec.vector
-            counts[rec.identity] += 1
-        else:
-            sums[rec.identity] = rec.vector.copy()
-            counts[rec.identity] = 1
-    return {i: sums[i] / counts[i] for i in sums}
+        groups.setdefault(rec.identity, []).append(rec.vector)
+    return {i: reduce(np.add, vecs) / len(vecs) for i, vecs in groups.items()}
 
 
 def centroid_distances(set_a: EmbeddingSet, set_b: EmbeddingSet) -> dict[int, float]:
     """Per shared identity, Euclidean distance between the two mean vectors."""
     if set_a.dim != set_b.dim:
         raise ValueError("sets have different dimensions")
-    cent_a = _identity_centroids(set_a)
-    cent_b = _identity_centroids(set_b)
+    cent_a, cent_b = _identity_centroids(set_a), _identity_centroids(set_b)
     shared = sorted(set(cent_a) & set(cent_b))
     if not shared:
         raise DataError("the sets share no identities")
@@ -176,10 +178,8 @@ def compare_centroids(
         raise DataError("no identity present in both comparisons")
     rows = {}
     for i in shared:
-        b = dist_before[i]
-        a = dist_after[i]
-        reduction = 0.0 if b == 0.0 else 1.0 - a / b
-        rows[i] = CentroidRow(distance_before=b, distance_after=a, reduction=reduction)
+        b, a = dist_before[i], dist_after[i]
+        rows[i] = CentroidRow(b, a, reduction=0.0 if b == 0.0 else 1.0 - a / b)
     mean_reduction = float(np.mean([r.reduction for r in rows.values()]))
     return CentroidReport(per_identity=rows, mean_reduction=mean_reduction)
 

@@ -259,4 +259,7 @@ def load_params(path: str | Path) -> VPParams:
         raise FormatError(
             f"{path}: size mismatch, expected {expected} bytes for dim={dim} hidden={hidden}"
         )
-    return VPParams(dim, hidden, np.frombuffer(data, "<f8", offset=head.size).astype(np.float64))
+    flat = np.frombuffer(data, "<f8", offset=head.size).astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise FormatError(f"{path}: non-finite parameter values")
+    return VPParams(dim, hidden, flat)

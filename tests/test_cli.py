@@ -106,6 +106,31 @@ class TestErrorPaths:
         assert list(tmp_path.iterdir()) == [params]
 
 
+    def test_negative_identity_in_csv_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "s.csv"
+        data.write_text("dim=2\n-3,0,HR,1,2\n")
+        assert run("eval", "--data", str(data), "--format", "csv",
+                   "--out", str(tmp_path / "r.txt")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{data}: line 2:" in err
+        assert list(tmp_path.iterdir()) == [data]
+
+    def test_non_finite_params_exits_1_without_output(self, synth_file, tmp_path, capsys):
+        params = tmp_path / "nan.vpnp"
+        assert run("train", "--data", str(synth_file), "--hidden", "4", "--epochs", "1",
+                   "--pairs", "32", "--out", str(params)) == 0
+        raw = bytearray(params.read_bytes())
+        raw[-8:] = struct.pack("<d", float("nan"))
+        params.write_bytes(bytes(raw))
+        out = tmp_path / "pan.vpfa"
+        capsys.readouterr()
+        assert run("apply", "--data", str(synth_file), "--params", str(params),
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(params) in err and "non-finite" in err
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def synth_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "s.vpfa"

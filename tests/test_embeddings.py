@@ -117,6 +117,20 @@ class TestCsvFormat:
         reloaded = load_set(path, "csv")
         assert reloaded.records[0].vector.tobytes() == vec.tobytes()
 
+    def test_values_written_as_format_17g(self, tmp_path):
+        values = [-0.0, 5e-324, np.finfo(float).max, 0.1, 1 / 3]
+        s = EmbeddingSet(5, [EmbeddingRecord(3, 1, Resolution(2), np.array(values))])
+        path = tmp_path / "s.csv"
+        save_set(s, path, "csv")
+        expected = ",".join(format(v, ".17g") for v in values)
+        assert path.read_text() == f"dim=5\n3,1,LRx2,{expected}\n"
+
+    def test_negative_ids_report_path_and_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("dim=2\n0,0,HR,1,2\n0,-1,HR,1,2\n")
+        with pytest.raises(FormatError, match=r"s\.csv: line 3: .*non-negative"):
+            load_set(path, "csv")
+
     def test_round_trip_random_values(self, tmp_path):
         s = make_set(num=20, dim=6, seed=3)
         path = tmp_path / "s.csv"

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from vpfa import retrieval
 from vpfa.embeddings import EmbeddingRecord, EmbeddingSet, Resolution
 from vpfa.errors import DataError
 from vpfa.retrieval import (
+    RetrievalReport,
     apply_panning,
     centroid_distances,
     compare_centroids,
@@ -210,6 +214,131 @@ class TestEvaluate:
         assert report.mean_ap == pytest.approx(
             np.mean([ap for _, _, ap in report.per_query_ap])
         )
+
+
+def reference_evaluate(query, gallery, metric="cosine", cross_camera_filter=True,
+                       ks=retrieval.RANK_KS):
+    """Stable argsort of every score row, then one loop iteration per query."""
+    q, g = query.matrix, gallery.matrix
+    if metric == "cosine":
+        qn = np.linalg.norm(q, axis=1, keepdims=True)
+        gn = np.linalg.norm(g, axis=1, keepdims=True)
+        order = np.argsort(-((q / qn) @ (g / gn).T), axis=1, kind="stable")
+    else:
+        sq = np.sum(q**2, axis=1, keepdims=True) - 2.0 * q @ g.T + np.sum(g**2, axis=1)
+        order = np.argsort(sq, axis=1, kind="stable")
+    g_ids, g_cams = gallery.identity_array, gallery.camera_array
+    hits = {k: 0 for k in ks}
+    per_query = []
+    skipped = 0
+    for qi, rec in enumerate(query.records):
+        ranked = order[qi]
+        if cross_camera_filter:
+            junk = (g_ids[ranked] == rec.identity) & (g_cams[ranked] == rec.camera)
+            ranked = ranked[~junk]
+        matches = g_ids[ranked] == rec.identity
+        if not matches.any():
+            skipped += 1
+            continue
+        first = int(np.argmax(matches))
+        for k in ks:
+            if first < k:
+                hits[k] += 1
+        cum = np.cumsum(matches)
+        precision_at_hits = cum[matches] / (np.flatnonzero(matches) + 1.0)
+        per_query.append((qi, rec.identity, float(precision_at_hits.mean())))
+    evaluated = len(query) - skipped
+    return RetrievalReport(
+        rank_k={k: hits[k] / evaluated for k in ks},
+        mean_ap=float(np.mean([ap for _, _, ap in per_query])),
+        num_queries=evaluated,
+        num_skipped=skipped,
+        metric=metric,
+        per_query_ap=tuple(per_query),
+    )
+
+
+def tied_sets(seed, dim=4):
+    """Query and gallery sets whose scores tie often.
+
+    Components are small integers, many vectors are exact duplicates, and
+    the queries include identities with 17, 9 and no relevant gallery items.
+    """
+    rng = np.random.default_rng(seed)
+
+    def vectors(n):
+        v = rng.integers(-2, 3, size=(n, dim)).astype(float)
+        v[~v.any(axis=1), 0] = 1.0  # cosine needs non-zero norms
+        return v
+
+    g_ids = np.concatenate([np.zeros(17, int), np.ones(9, int), rng.integers(2, 8, 54)])
+    g_cams = np.concatenate([np.ones(26, int), rng.integers(0, 3, 54)])
+    g_vecs = vectors(80)
+    g_vecs[40:60] = g_vecs[rng.integers(0, 40, 20)]
+    q_ids = np.concatenate([[0, 0, 1, 1, 99, 42], rng.integers(0, 8, 54)])
+    q_cams = np.concatenate([[0, 2, 0, 2, 0, 1], rng.integers(0, 3, 54)])
+    q_vecs = vectors(60)
+    q_vecs[30:45] = g_vecs[rng.integers(0, 80, 15)]
+    gallery = EmbeddingSet(dim, [
+        record(i, c, HR, v) for i, c, v in zip(g_ids.tolist(), g_cams.tolist(), g_vecs)
+    ])
+    query = EmbeddingSet(dim, [
+        record(i, c, LR2, v) for i, c, v in zip(q_ids.tolist(), q_cams.tolist(), q_vecs)
+    ])
+    return query, gallery
+
+
+class TestEvaluateMatchesReference:
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("camera_filter", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tied_scores_give_the_reference_report(self, metric, camera_filter, seed):
+        query, gallery = tied_sets(seed)
+        got = evaluate(query, gallery, metric, camera_filter, ks=(1, 2, 5, 10, 30))
+        want = reference_evaluate(query, gallery, metric, camera_filter, ks=(1, 2, 5, 10, 30))
+        assert got == want
+        relevant = {len([r for r in gallery.records if r.identity == i]) for i in (0, 1)}
+        assert relevant == {17, 9} and got.num_skipped >= 2
+
+    @pytest.mark.parametrize("budget", [1, 100, 1000])
+    def test_block_size_does_not_change_the_report(self, monkeypatch, budget):
+        query, gallery = tied_sets(3)
+        want = reference_evaluate(query, gallery)
+        monkeypatch.setattr(retrieval, "EVAL_BLOCK", budget)
+        assert evaluate(query, gallery) == want
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_synthetic_set_gives_the_reference_report(self, metric):
+        s = generate(SynthConfig(dim=16, num_identities=40, samples_per_res=12, seed=4))
+        lr = s.partition(lambda r: r.resolution.is_lr)
+        hr = s.partition(lambda r: r.resolution.is_hr)
+        for camera_filter in (True, False):
+            assert evaluate(lr, hr, metric, camera_filter) == reference_evaluate(
+                lr, hr, metric, camera_filter
+            )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_euclidean_overflow_rejected(self):
+        query = EmbeddingSet(2, [record(0, 0, LR2, [1e200, 0.0])])
+        gallery = EmbeddingSet(2, [record(0, 1, HR, [-1e200, 0.0])])
+        with pytest.raises(DataError, match="overflow"):
+            evaluate(query, gallery, metric="euclidean")
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_peak_memory_is_about_one_score_matrix(self, metric):
+        s = generate(SynthConfig(dim=16, num_identities=200, samples_per_res=10, seed=5))
+        lr = s.partition(lambda r: r.resolution.is_lr)
+        hr = s.partition(lambda r: r.resolution.is_hr)
+        for eset in (lr, hr):  # the sets' cached arrays are not evaluate's memory
+            eset.matrix, eset.identity_array, eset.camera_array
+        assert (len(lr), len(hr)) == (2000, 2000)
+        tracemalloc.start()
+        try:
+            evaluate(lr, hr, metric)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * len(lr) * len(hr) * 8
 
 
 class TestCentroids:

@@ -298,6 +298,15 @@ class TestPersistence:
         with pytest.raises(FormatError, match="non-positive"):
             load_params(path)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_rejected(self, tmp_path, bad):
+        p = init_params(4, 3, init_std=0.1)
+        p.gamma2[1] = bad
+        path = tmp_path / "net.vpnp"
+        save_params(p, path)
+        with pytest.raises(FormatError, match=r"net\.vpnp: non-finite"):
+            load_params(path)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "net.vpnp"
         path.write_bytes(b"NOPE" + bytes(12))
