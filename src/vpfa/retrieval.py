@@ -2,27 +2,27 @@
 
 Evaluation follows the usual re-identification protocol: each query ranks
 the gallery by similarity; gallery items sharing both identity and camera
-with the query are junk, excluded when the camera filter is on; queries with
-no remaining relevant item are skipped and counted.  Ties break by gallery
-record index.  No gallery row is sorted: a relevant item's 0-based rank is
-the number of non-junk items scoring higher, plus equal scorers at a lower
-index.  Memory: one Q x G float64 score matrix, 16 bytes per relevant pair,
-and per block at most EVAL_BLOCK comparisons and EVAL_BLOCK / m scores.
+with the query are excluded when the camera filter is on; queries with no
+remaining relevant item are skipped and counted.  Ties in similarity break
+by gallery record index.  No row is sorted: a relevant item's 0-based rank
+is the count of non-excluded items scoring higher plus equal scorers at a
+lower index, found for all G items by a binary search over the query's m
+relevant items, O(G log m) per query.  Memory: one Q x G float64 score
+matrix, two Q x G bool masks and a few arrays of EVAL_BLOCK (or G) elements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import reduce
+from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, Resolution
+from .embeddings import EmbeddingRecord, EmbeddingSet, Resolution
 from .errors import DataError
 from .vpnet import VPParams, forward
 
 RANK_KS = (1, 5, 10)
-EVAL_BLOCK = 1 << 20
+EVAL_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,17 @@ def apply_panning(
         raise ValueError(f"params dim {params.dim} != set dim {eset.dim}")
     if target not in ("lr", "all"):
         raise ValueError(f"unknown target {target!r}")
-    out = list(eset.records)
-    selected = [i for i, r in enumerate(out) if target == "all" or r.resolution.is_lr]
-    if selected:
-        panned, _ = forward(params, np.stack([out[i].vector for i in selected]))
-        for i, vector in zip(selected, panned):
-            out[i] = replace(out[i], vector=vector)
+    selected = [
+        i for i, r in enumerate(eset.records)
+        if target == "all" or r.resolution.is_lr
+    ]
+    if not selected:
+        return EmbeddingSet(eset.dim, eset.records, eset.source_label)
+    panned, _ = forward(params, np.stack([eset.records[i].vector for i in selected]))
+    out: list[EmbeddingRecord] = list(eset.records)
+    for row, i in enumerate(selected):
+        old = eset.records[i]
+        out[i] = EmbeddingRecord(old.identity, old.camera, old.resolution, panned[row])
     return EmbeddingSet(eset.dim, out, eset.source_label)
 
 
@@ -78,9 +83,10 @@ def _scores(query_mat, gallery_mat, metric):
             raise DataError("cosine metric undefined for zero-norm vectors")
         return (query_mat / qn) @ (gallery_mat / gn).T
     if metric == "euclidean":
-        sq = 2.0 * query_mat @ gallery_mat.T  # sum(q^2) - 2 q.g + sum(g^2), in place
-        np.subtract(np.sum(query_mat**2, axis=1, keepdims=True), sq, out=sq)
-        sq += np.sum(gallery_mat**2, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            sq = 2.0 * query_mat @ gallery_mat.T  # sum(q^2) - 2 q.g + sum(g^2), in place
+            np.subtract(np.sum(query_mat**2, axis=1, keepdims=True), sq, out=sq)
+            sq += np.sum(gallery_mat**2, axis=1)
         if not np.isfinite(sq).all():
             raise DataError("euclidean distances overflow float64")
         return np.negative(sq, out=sq)
@@ -104,63 +110,77 @@ def evaluate(
 
     scores = _scores(query.matrix, gallery.matrix, metric)
     num_q, num_g = scores.shape
-    q_ids, g_ids = query.identity_array, gallery.identity_array
-    # Relevant (query, item) pairs, row-major, from the id-sorted gallery; junk scores -inf.
-    order = np.argsort(g_ids, kind="stable")
-    lo, hi = (np.searchsorted(g_ids[order], q_ids, side) for side in ("left", "right"))
-    rows = np.repeat(np.arange(num_q), hi - lo)
-    cols = order[np.arange(rows.size) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)]
-    if cross_camera_filter:
-        junk = gallery.camera_array[cols] == query.camera_array[rows]
-        scores[rows[junk], cols[junk]] = -np.inf
-        rows, cols = rows[~junk], cols[~junk]
-    counts = np.bincount(rows, minlength=num_q)
-    starts = np.cumsum(counts) - counts
+    relevant = query.identity_array[:, None] == gallery.identity_array
+    if cross_camera_filter:  # junk: same identity and camera; scores -inf, below the rest
+        junk = query.camera_array[:, None] == gallery.camera_array
+        junk &= relevant
+        np.copyto(scores, -np.inf, where=junk)
+        relevant ^= junk
+    counts = np.count_nonzero(relevant, axis=1)
 
-    # Equal-m queries share (n, m) blocks: each AP sums one row as a 1-d mean does.
-    first, ap = np.empty(num_q, dtype=np.int64), np.empty(num_q)
+    # Equal-m queries share blocks: each AP sums one row as a 1-d mean does.
+    first, ap = np.empty(num_q, dtype=np.intp), np.empty(num_q)  # 1-based first hit
+    step = max(1, EVAL_BLOCK // num_g)
     for m in np.unique(counts[counts > 0]).tolist():
-        chosen = np.flatnonzero(counts == m)
-        step = max(1, EVAL_BLOCK // (m * num_g))
+        chosen, width = np.flatnonzero(counts == m), 1 << m.bit_length()
         for qs in np.split(chosen, range(step, chosen.size, step)):
             block = scores[qs]
-            rel = cols[starts[qs, None] + np.arange(m)]
-            vals = np.take_along_axis(block, rel, axis=1)[:, :, None]
-            better = block[:, None, :] > vals
-            # an equal score at a lower gallery index ranks first
-            better |= (block[:, None, :] == vals) & (np.arange(num_g) < rel[:, :, None])
-            pos = np.add.reduce(better, axis=2, dtype=np.min_scalar_type(num_g))
-            pos.sort(axis=1)
-            first[qs] = pos[:, 0]
-            ap[qs] = (np.arange(1, m + 1) / (pos + 1.0)).mean(axis=1)
+            # Relevant items in rank order (higher score, then lower index), then
+            # sentinels ranked behind everything, up to width > m columns.
+            rel_i = np.nonzero(relevant[qs])[1].reshape(len(qs), m)
+            rel_s = np.take_along_axis(block, rel_i, axis=1)
+            order, pad = np.argsort(-rel_s, axis=1, kind="stable"), ((0, 0), (0, width - m))
+            rel_s = np.pad(np.take_along_axis(rel_s, order, 1), pad, constant_values=-np.inf)
+            rel_i = np.pad(np.take_along_axis(rel_i, order, 1), pad, constant_values=num_g)
+            # k: flat index of (row, number of relevant items ranked ahead), bit by bit.
+            k = np.repeat(np.arange(0, rel_s.size, width), num_g).reshape(block.shape)
+            bit = width
+            while bit := bit // 2:
+                j = k + (bit - 1)
+                s = rel_s.take(j)
+                ahead = s > block
+                tie = np.flatnonzero(s == block)  # few: break them by gallery index
+                ahead.flat[tie] = rel_i.take(j.flat[tie]) < tie % num_g
+                k += ahead * bit
+            # Items with k <= r rank at or ahead of relevant item r: r's 1-based rank.
+            hits = np.bincount(k.ravel(), minlength=rel_s.size).reshape(-1, width)
+            hits = hits[:, :m].cumsum(axis=1)
+            first[qs], ap[qs] = hits[:, 0], (np.arange(1, m + 1) / hits).mean(axis=1)
 
     done = counts > 0
     evaluated = int(np.count_nonzero(done))
     if evaluated == 0:
         raise DataError("every query was skipped (no relevant gallery items)")
-    per_query = zip(np.flatnonzero(done).tolist(), q_ids[done].tolist(), ap[done].tolist())
+    q_index, q_ids = np.flatnonzero(done).tolist(), query.identity_array[done].tolist()
     return RetrievalReport(
-        rank_k={k: int(np.count_nonzero(first[done] < k)) / evaluated for k in ks},
+        rank_k={k: int(np.count_nonzero(first[done] <= k)) / evaluated for k in ks},
         mean_ap=float(np.mean(ap[done])),
         num_queries=evaluated,
         num_skipped=num_q - evaluated,
         metric=metric,
-        per_query_ap=tuple(per_query),
+        per_query_ap=tuple(zip(q_index, q_ids, ap[done].tolist())),
     )
 
 
 def _identity_centroids(eset: EmbeddingSet) -> dict[int, np.ndarray]:
-    groups: dict[int, list[np.ndarray]] = {}
+    sums: dict[int, np.ndarray] = {}
+    counts: dict[int, int] = {}
     for rec in eset.records:
-        groups.setdefault(rec.identity, []).append(rec.vector)
-    return {i: reduce(np.add, vecs) / len(vecs) for i, vecs in groups.items()}
+        if rec.identity in sums:
+            sums[rec.identity] = sums[rec.identity] + rec.vector
+            counts[rec.identity] += 1
+        else:
+            sums[rec.identity] = rec.vector.copy()
+            counts[rec.identity] = 1
+    return {i: sums[i] / counts[i] for i in sums}
 
 
 def centroid_distances(set_a: EmbeddingSet, set_b: EmbeddingSet) -> dict[int, float]:
     """Per shared identity, Euclidean distance between the two mean vectors."""
     if set_a.dim != set_b.dim:
         raise ValueError("sets have different dimensions")
-    cent_a, cent_b = _identity_centroids(set_a), _identity_centroids(set_b)
+    cent_a = _identity_centroids(set_a)
+    cent_b = _identity_centroids(set_b)
     shared = sorted(set(cent_a) & set(cent_b))
     if not shared:
         raise DataError("the sets share no identities")
@@ -178,8 +198,10 @@ def compare_centroids(
         raise DataError("no identity present in both comparisons")
     rows = {}
     for i in shared:
-        b, a = dist_before[i], dist_after[i]
-        rows[i] = CentroidRow(b, a, reduction=0.0 if b == 0.0 else 1.0 - a / b)
+        b = dist_before[i]
+        a = dist_after[i]
+        reduction = 0.0 if b == 0.0 else 1.0 - a / b
+        rows[i] = CentroidRow(distance_before=b, distance_after=a, reduction=reduction)
     mean_reduction = float(np.mean([r.reduction for r in rows.values()]))
     return CentroidReport(per_identity=rows, mean_reduction=mean_reduction)
 

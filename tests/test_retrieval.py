@@ -317,16 +317,35 @@ class TestEvaluateMatchesReference:
                 lr, hr, metric, camera_filter
             )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_euclidean_overflow_rejected(self):
+    def test_euclidean_overflow_rejected_without_warnings(self, recwarn):
         query = EmbeddingSet(2, [record(0, 0, LR2, [1e200, 0.0])])
         gallery = EmbeddingSet(2, [record(0, 1, HR, [-1e200, 0.0])])
         with pytest.raises(DataError, match="overflow"):
             evaluate(query, gallery, metric="euclidean")
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 15, 16, 31, 64])
+    def test_relevant_counts_around_powers_of_two(self, m):
+        rng = np.random.default_rng(m)
+        g_vecs = rng.integers(-2, 3, size=(m + 40, 3)).astype(float)
+        g_vecs[~g_vecs.any(axis=1), 0] = 1.0
+        gallery = EmbeddingSet(3, [
+            record(int(i >= m), 1, HR, v) for i, v in enumerate(g_vecs)
+        ])
+        query = EmbeddingSet(3, [
+            record(0, c, LR2, g_vecs[i]) for c, i in zip((0, 2, 3), rng.integers(0, m + 40, 3))
+        ])
+        for metric in ("cosine", "euclidean"):
+            got = evaluate(query, gallery, metric)
+            assert got == reference_evaluate(query, gallery, metric)
+            assert got.num_queries == 3
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-    def test_peak_memory_is_about_one_score_matrix(self, metric):
-        s = generate(SynthConfig(dim=16, num_identities=200, samples_per_res=10, seed=5))
+    @pytest.mark.parametrize("identities,per_res", [(200, 10), (2, 1000)])
+    def test_peak_memory_is_about_one_score_matrix(self, metric, identities, per_res):
+        s = generate(SynthConfig(
+            dim=16, num_identities=identities, samples_per_res=per_res, seed=5
+        ))
         lr = s.partition(lambda r: r.resolution.is_lr)
         hr = s.partition(lambda r: r.resolution.is_hr)
         for eset in (lr, hr):  # the sets' cached arrays are not evaluate's memory
