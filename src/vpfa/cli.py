@@ -40,11 +40,28 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _reject_overwrites(args)
         args.handler(args)
     except (VpfaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+def _reject_overwrites(args: argparse.Namespace) -> None:
+    """Refuse, before anything is written, an output path that names an input file."""
+    data = getattr(args, "data", None)
+    inputs = [*(data if isinstance(data, list) else [data]), getattr(args, "params", None)]
+    resolved = {Path(p).resolve(): p for p in inputs if p}
+    outputs = [args.out, _manifest_path(args.out), getattr(args, "csv", None)]
+    if args.command == "train":
+        outputs.append(_train_log_path(args))
+    if getattr(args, "csv_prefix", None):
+        outputs += _stats_csv_paths(args.csv_prefix)
+    for out in filter(None, outputs):
+        source = resolved.get(Path(out).resolve())
+        if source:
+            raise VpfaError(f"output {out} would overwrite input {source}")
 
 
 def _parse_rates(text: str) -> list[int]:
@@ -162,6 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _manifest_path(primary_output: str) -> str:
+    return f"{primary_output}.manifest.json"
+
+
 def _write_manifest(args: argparse.Namespace, inputs: list[str], outputs: list[str]) -> None:
     flags = {
         k: v for k, v in vars(args).items() if k != "handler" and not callable(v)
@@ -173,14 +194,13 @@ def _write_manifest(args: argparse.Namespace, inputs: list[str], outputs: list[s
         "inputs": sorted(inputs),
         "outputs": outputs,
     }
-    primary = Path(outputs[0])
-    path = primary.with_name(primary.name + ".manifest.json")
+    path = Path(_manifest_path(outputs[0]))
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
 
 
 def _split_queries(eset: EmbeddingSet) -> tuple[EmbeddingSet, EmbeddingSet]:
-    query = eset.partition(lambda r: r.resolution.is_lr)
-    gallery = eset.partition(lambda r: r.resolution.is_hr)
+    query = eset.partition(eset.rate_array != 0)
+    gallery = eset.partition(eset.rate_array == 0)
     return query, gallery
 
 
@@ -251,13 +271,16 @@ def _cmd_stats(args: argparse.Namespace) -> None:
     print("\n".join(lines))
 
 
+def _stats_csv_paths(prefix: str) -> list[str]:
+    return [f"{prefix}.{table}.csv" for table in ("split_cosine", "cca", "pearson")]
+
+
 def _write_stats_csvs(prefix: str, report) -> list[str]:
-    split_path = f"{prefix}.split_cosine.csv"
+    split_path, cca_path, pearson_path = _stats_csv_paths(prefix)
     with open(split_path, "w") as fh:
         fh.write("rate,cosine,half1,half2\n")
         for rate, sc in sorted(report.split_cosine.items()):
             fh.write(f"{rate},{sc.cosine:.17g},{sc.half_sizes[0]},{sc.half_sizes[1]}\n")
-    cca_path = f"{prefix}.cca.csv"
     with open(cca_path, "w") as fh:
         fh.write("rate,kind,r1,r2,r3\n")
         for rate, entry in sorted(report.cca.items()):
@@ -265,7 +288,6 @@ def _write_stats_csvs(prefix: str, report) -> list[str]:
             rand = ",".join(f"{c:.17g}" for c in entry.random_baseline)
             fh.write(f"{rate},cross,{cross}\n")
             fh.write(f"{rate},random,{rand}\n")
-    pearson_path = f"{prefix}.pearson.csv"
     with open(pearson_path, "w") as fh:
         fh.write("rate,mean_r,std_r,proportion_above,groups\n")
         for rate, pe in sorted(report.pearson.items()):
@@ -274,6 +296,10 @@ def _write_stats_csvs(prefix: str, report) -> list[str]:
                 f"{pe.proportion_above:.17g},{pe.group_count}\n"
             )
     return [split_path, cca_path, pearson_path]
+
+
+def _train_log_path(args: argparse.Namespace) -> str:
+    return args.log or f"{args.out}.log.csv"
 
 
 def _cmd_train(args: argparse.Namespace) -> None:
@@ -292,7 +318,7 @@ def _cmd_train(args: argparse.Namespace) -> None:
     )
     params, log = train(eset, net_cfg, cfg, rates=args.rates)
     save_params(params, args.out)
-    log_path = args.log or f"{args.out}.log.csv"
+    log_path = _train_log_path(args)
     with open(log_path, "w") as fh:
         fh.write("epoch,mean_loss\n")
         for epoch, loss in enumerate(log.epoch_loss, start=1):

@@ -8,7 +8,8 @@ little-endian binary file (bit-exact round trip).
 
 Binary layout: magic ``VPFA``, u32 version, u32 dim, u64 count, then per
 record u32 identity, u16 camera, u8 resolution (0 = HR, otherwise the LR
-rate), and dim float64 components.
+rate), and dim float64 components, packed; the records are read and
+written as one structured array.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,7 +29,6 @@ BINARY_MAGIC = b"VPFA"
 BINARY_VERSION = 1
 
 _HEADER = struct.Struct("<4sIIQ")
-_RECORD_META = struct.Struct("<IHB")
 
 
 @dataclass(frozen=True, order=True)
@@ -72,6 +72,9 @@ HR = Resolution(0)
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingRecord:
+    """One labeled vector.  Records are equal when every field, and every
+    byte of the vector, is equal."""
+
     identity: int
     camera: int
     resolution: Resolution
@@ -88,73 +91,112 @@ class EmbeddingRecord:
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
 
+    def _key(self) -> tuple:
+        return self.identity, self.camera, self.resolution, self.vector.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, EmbeddingRecord) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
 
 class EmbeddingSet:
-    """Immutable ordered collection of records sharing one dimension."""
+    """Immutable ordered collection of labeled vectors sharing one dimension.
+
+    Stored as four read-only arrays of N rows: ``matrix`` (N x dim float64),
+    ``identity_array``, ``camera_array`` (int64) and ``rate_array`` (uint8,
+    0 = HR, else the LR rate); ``records`` is a view built on first use.
+    """
 
     def __init__(
-        self,
-        dim: int,
-        records: Iterable[EmbeddingRecord] = (),
-        source_label: str = "",
+        self, dim: int, records: Iterable[EmbeddingRecord] = (), source_label: str = ""
     ) -> None:
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
-        self.dim = int(dim)
-        self.records: tuple[EmbeddingRecord, ...] = tuple(records)
-        self.source_label = source_label
-        for i, rec in enumerate(self.records):
-            if rec.vector.shape[0] != self.dim:
-                raise ValueError(
-                    f"record {i} has dimension {rec.vector.shape[0]}, expected {self.dim}"
-                )
+        records = tuple(records)
+        for i, rec in enumerate(records):
+            if rec.vector.shape[0] != dim:
+                raise ValueError(f"record {i} has dimension {rec.vector.shape[0]}, expected {dim}")
+        self._set_arrays(np.array([r.vector for r in records]) if records else np.empty((0, dim)),
+                         [r.identity for r in records], [r.camera for r in records],
+                         [r.resolution.rate for r in records], source_label)
+
+    @classmethod
+    def from_arrays(cls, matrix, identity, camera, rate, source_label: str = "") -> "EmbeddingSet":
+        """A set over an (N, dim) matrix and N identities, cameras and rates.  An
+        array that owns its data in the stored dtype is kept and made read-only;
+        any other argument is copied."""
+        eset = cls.__new__(cls)
+        eset._set_arrays(matrix, identity, camera, rate, source_label)
+        return eset
+
+    def _set_arrays(self, matrix, identity, camera, rate, source_label: str) -> None:
+        matrix, identity, camera = (
+            _column(matrix, np.float64), _column(identity, np.int64), _column(camera, np.int64))
+        rate = np.asarray(rate)
+        if matrix.ndim != 2 or matrix.shape[1] < 1:
+            raise ValueError(f"matrix must be (N, dim) with dim >= 1, got shape {matrix.shape}")
+        if not matrix.shape[0] == identity.shape[0] == camera.shape[0] == rate.shape[0]:
+            raise ValueError("matrix, identity, camera and rate differ in length")
+        for bad, message in (  # one vectorized pass per check
+            (~np.isfinite(matrix).all(axis=1), "non-finite value in record {i}"),
+            ((identity < 0) | (camera < 0),
+             "record {i}: identity and camera IDs must be non-negative"),
+            ((rate == 1) | (rate < 0) | (rate > 255),
+             "record {i}: LR rate must be >= 2 and <= 255, got {r}"),
+        ):
+            if bad.any():
+                i = int(bad.argmax())
+                raise ValueError(message.format(i=i, r=rate[i]))
+        self.dim, self.source_label = int(matrix.shape[1]), source_label
+        self.matrix, self.identity_array, self.camera_array = matrix, identity, camera
+        self.rate_array = _column(rate, np.uint8)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.matrix.shape[0]
 
     def __iter__(self):
         return iter(self.records)
 
-    def partition(self, predicate: Callable[[EmbeddingRecord], bool]) -> "EmbeddingSet":
-        """New set with the records satisfying ``predicate``, order preserved."""
-        return EmbeddingSet(
-            self.dim, (r for r in self.records if predicate(r)), self.source_label
+    @cached_property
+    def records(self) -> tuple[EmbeddingRecord, ...]:
+        """One record per row, in order; vectors are read-only rows of ``matrix``."""
+        tags = {rate: Resolution(rate) for rate in np.unique(self.rate_array).tolist()}  # shared
+        return tuple(map(EmbeddingRecord, self.identity_array.tolist(), self.camera_array.tolist(),
+                         map(tags.__getitem__, self.rate_array.tolist()), self.matrix))
+
+    def partition(self, keep) -> "EmbeddingSet":
+        """New set of the rows where ``keep`` holds, order preserved.  ``keep``
+        is a boolean mask of length N, or a predicate called on each record."""
+        if callable(keep):
+            keep = np.array([bool(keep(r)) for r in self.records], dtype=bool)
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != (len(self),):
+            raise ValueError(f"partition needs a predicate or a boolean mask of length {len(self)}")
+        return EmbeddingSet.from_arrays(
+            self.matrix[keep], self.identity_array[keep], self.camera_array[keep],
+            self.rate_array[keep], self.source_label,
         )
 
     def identities(self) -> list[int]:
         """Sorted unique identity IDs."""
-        return sorted({r.identity for r in self.records})
+        return np.unique(self.identity_array).tolist()
 
     def records_of(self, identity: int, resolution: Resolution | None = None):
         """Records of one identity, optionally restricted to one resolution."""
-        return [
-            r
-            for r in self.records
-            if r.identity == identity
-            and (resolution is None or r.resolution == resolution)
-        ]
+        keep = self.identity_array == identity
+        if resolution is not None:
+            keep &= self.rate_array == resolution.rate
+        return [self.records[i] for i in np.flatnonzero(keep)]
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """All vectors stacked into an (N, dim) read-only array."""
-        if not self.records:
-            out = np.empty((0, self.dim))
-        else:
-            out = np.stack([r.vector for r in self.records])
-        out.setflags(write=False)
-        return out
 
-    @cached_property
-    def identity_array(self) -> np.ndarray:
-        out = np.array([r.identity for r in self.records], dtype=np.int64)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def camera_array(self) -> np.ndarray:
-        out = np.array([r.camera for r in self.records], dtype=np.int64)
-        out.setflags(write=False)
-        return out
+def _column(values, dtype) -> np.ndarray:
+    """``values`` as a read-only C-ordered ``dtype`` array that owns its data."""
+    array = np.asarray(values, dtype=dtype)
+    array = array if array.base is None and array.flags.c_contiguous else array.copy()
+    array.setflags(write=False)
+    return array
 
 
 def half_split_identities(identities: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -185,17 +227,24 @@ def load_set(path: str | Path, format: str = "bin") -> EmbeddingSet:
     raise ValueError(f"unknown format {format!r}")
 
 
+def _record_dtype(dim: int) -> np.dtype:
+    """One binary record: u32 identity, u16 camera, u8 rate, dim float64; packed."""
+    return np.dtype([("identity", "<u4"), ("camera", "<u2"), ("rate", "u1"),
+                     ("vector", "<f8", (dim,))])
+
+
 def _save_binary(eset: EmbeddingSet, path: Path) -> None:
     # Checked before opening, so a set the record layout cannot hold leaves no file.
-    for field, limit in (("identity", 2**32), ("camera", 2**16)):
-        top = max((getattr(rec, field) for rec in eset.records), default=0)
+    for field, values, limit in (("identity", eset.identity_array, 2**32),
+                                 ("camera", eset.camera_array, 2**16)):
+        top = int(values.max(initial=0))
         if top >= limit:
             raise FormatError(f"{path}: {field} {top} exceeds the binary format's limit {limit - 1}")
+    rows = np.rec.fromarrays([eset.identity_array, eset.camera_array, eset.rate_array, eset.matrix],
+                             dtype=_record_dtype(eset.dim))
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(BINARY_MAGIC, BINARY_VERSION, eset.dim, len(eset)))
-        for rec in eset.records:
-            fh.write(_RECORD_META.pack(rec.identity, rec.camera, rec.resolution.rate))
-            fh.write(rec.vector.astype("<f8", copy=False).tobytes())
+        fh.write(rows.data)  # the bytes of rows.tobytes(), without the copy
 
 
 def _load_binary(path: Path) -> EmbeddingSet:
@@ -209,36 +258,29 @@ def _load_binary(path: Path) -> EmbeddingSet:
         raise FormatError(f"{path}: unsupported version {version}")
     if dim < 1:
         raise FormatError(f"{path}: non-positive dimension {dim}")
-    rec_size = _RECORD_META.size + 8 * dim
-    expected = _HEADER.size + count * rec_size
+    dtype = _record_dtype(dim)
+    expected = _HEADER.size + count * dtype.itemsize
     if len(data) != expected:
         raise FormatError(
             f"{path}: size mismatch, expected {expected} bytes for {count} records, got {len(data)}"
         )
-    records = []
-    offset = _HEADER.size
-    for i in range(count):
-        identity, camera, rate = _RECORD_META.unpack_from(data, offset)
-        offset += _RECORD_META.size
-        vec = np.frombuffer(data, dtype="<f8", count=dim, offset=offset).copy()
-        offset += 8 * dim
-        if not np.all(np.isfinite(vec)):
-            raise FormatError(f"{path}: non-finite value in record {i}")
-        try:
-            resolution = Resolution(rate)
-        except ValueError as exc:
-            raise FormatError(f"{path}: record {i}: {exc}") from exc
-        records.append(EmbeddingRecord(identity, camera, resolution, vec))
-    return EmbeddingSet(dim, records, source_label=str(path))
+    rows = np.frombuffer(data, dtype=dtype, count=count, offset=_HEADER.size)
+    try:  # the set copies each field out of the file's bytes
+        return EmbeddingSet.from_arrays(
+            rows["vector"], rows["identity"], rows["camera"], rows["rate"], str(path))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _save_csv(eset: EmbeddingSet, path: Path) -> None:
     values = ",".join(["%.17g"] * eset.dim)  # the same digits as format(v, ".17g")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"dim={eset.dim}\n")
-        for rec in eset.records:
-            row = values % tuple(rec.vector.tolist())
-            fh.write(f"{rec.identity},{rec.camera},{rec.resolution},{row}\n")
+        for identity, camera, rate, row in zip(
+            eset.identity_array.tolist(), eset.camera_array.tolist(),
+            eset.rate_array.tolist(), eset.matrix.tolist(),
+        ):
+            fh.write(f"{identity},{camera},{Resolution(rate)},{values % tuple(row)}\n")
 
 
 def _load_csv(path: Path) -> EmbeddingSet:
@@ -254,7 +296,7 @@ def _load_csv(path: Path) -> EmbeddingSet:
         raise FormatError(f"{path}: line 1: malformed header {lines[0]!r}") from exc
     if dim < 1:
         raise FormatError(f"{path}: line 1: non-positive dimension {dim}")
-    records = []
+    matrix, labels = None, []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -263,20 +305,21 @@ def _load_csv(path: Path) -> EmbeddingSet:
             raise FormatError(
                 f"{path}: line {lineno}: expected {3 + dim} fields, got {len(parts)}"
             )
+        if matrix is None:  # sized by the text: only lines over 2 * dim characters hold a row
+            matrix = np.empty((sum(len(text) > 2 * dim for text in lines), dim))
         try:
-            identity = int(parts[0])
-            camera = int(parts[1])
-            resolution = Resolution.parse(parts[2])
+            identity, camera = int(parts[0]), int(parts[1])
+            rate = Resolution.parse(parts[2]).rate
+            matrix[len(labels)] = [float(v) for v in parts[3:]]
         except ValueError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-        try:
-            vec = np.array([float(v) for v in parts[3:]], dtype=np.float64)
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-        if not np.all(np.isfinite(vec)):
+        if not np.isfinite(matrix[len(labels)]).all():
             raise FormatError(f"{path}: line {lineno}: non-finite value")
-        try:
-            records.append(EmbeddingRecord(identity, camera, resolution, vec))
-        except ValueError as exc:  # a negative identity or camera
-            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-    return EmbeddingSet(dim, records, source_label=str(path))
+        if not (0 <= identity < 2**63 and 0 <= camera < 2**63):
+            raise FormatError(f"{path}: line {lineno}: identity and camera IDs must be "
+                              "non-negative and below 2**63")
+        labels.append((identity, camera, rate))
+    columns = np.array(labels, dtype=np.int64).reshape(-1, 3).T
+    matrix = np.empty((0, dim)) if matrix is None else matrix
+    matrix.resize((len(labels), dim))  # in place, so the set keeps it without a copy
+    return EmbeddingSet.from_arrays(matrix, *columns, str(path))

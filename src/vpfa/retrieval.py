@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingRecord, EmbeddingSet, Resolution
+from .embeddings import EmbeddingSet, Resolution
 from .errors import DataError
 from .vpnet import VPParams, forward
 
@@ -60,18 +60,14 @@ def apply_panning(
         raise ValueError(f"params dim {params.dim} != set dim {eset.dim}")
     if target not in ("lr", "all"):
         raise ValueError(f"unknown target {target!r}")
-    selected = [
-        i for i, r in enumerate(eset.records)
-        if target == "all" or r.resolution.is_lr
-    ]
-    if not selected:
-        return EmbeddingSet(eset.dim, eset.records, eset.source_label)
-    panned, _ = forward(params, np.stack([eset.records[i].vector for i in selected]))
-    out: list[EmbeddingRecord] = list(eset.records)
-    for row, i in enumerate(selected):
-        old = eset.records[i]
-        out[i] = EmbeddingRecord(old.identity, old.camera, old.resolution, panned[row])
-    return EmbeddingSet(eset.dim, out, eset.source_label)
+    selected = eset.rate_array != 0 if target == "lr" else np.ones(len(eset), dtype=bool)
+    out = eset.matrix.copy()
+    if selected.any():
+        out[selected], _ = forward(params, eset.matrix[selected])
+    # The set rejects non-finite rows, so a network that overflows fails here.
+    return EmbeddingSet.from_arrays(
+        out, eset.identity_array, eset.camera_array, eset.rate_array, eset.source_label
+    )
 
 
 def _scores(query_mat, gallery_mat, metric):
@@ -163,36 +159,35 @@ def evaluate(
 
 
 def _identity_centroids(eset: EmbeddingSet) -> dict[int, np.ndarray]:
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for rec in eset.records:
-        if rec.identity in sums:
-            sums[rec.identity] = sums[rec.identity] + rec.vector
-            counts[rec.identity] += 1
-        else:
-            sums[rec.identity] = rec.vector.copy()
-            counts[rec.identity] = 1
-    return {i: sums[i] / counts[i] for i in sums}
+    ids, inverse = np.unique(eset.identity_array, return_inverse=True)
+    sums = np.zeros((ids.size, eset.dim))
+    np.add.at(sums, inverse, eset.matrix)  # row by row in record order, as a loop adds
+    return dict(zip(ids.tolist(), sums / np.bincount(inverse, minlength=ids.size)[:, None]))
 
 
-def centroid_distances(set_a: EmbeddingSet, set_b: EmbeddingSet) -> dict[int, float]:
-    """Per shared identity, Euclidean distance between the two mean vectors."""
-    if set_a.dim != set_b.dim:
-        raise ValueError("sets have different dimensions")
-    cent_a = _identity_centroids(set_a)
-    cent_b = _identity_centroids(set_b)
+def _distances(cent_a: dict[int, np.ndarray], cent_b: dict[int, np.ndarray]) -> dict[int, float]:
     shared = sorted(set(cent_a) & set(cent_b))
     if not shared:
         raise DataError("the sets share no identities")
     return {i: float(np.linalg.norm(cent_a[i] - cent_b[i])) for i in shared}
 
 
+def centroid_distances(set_a: EmbeddingSet, set_b: EmbeddingSet) -> dict[int, float]:
+    """Per shared identity, Euclidean distance between the two mean vectors."""
+    if set_a.dim != set_b.dim:
+        raise ValueError("sets have different dimensions")
+    return _distances(_identity_centroids(set_a), _identity_centroids(set_b))
+
+
 def compare_centroids(
     hr_set: EmbeddingSet, before: EmbeddingSet, after: EmbeddingSet
 ) -> CentroidReport:
     """Centroid distances to the HR set before vs after panning."""
-    dist_before = centroid_distances(hr_set, before)
-    dist_after = centroid_distances(hr_set, after)
+    if not hr_set.dim == before.dim == after.dim:
+        raise ValueError("sets have different dimensions")
+    hr_centroids = _identity_centroids(hr_set)
+    dist_before = _distances(hr_centroids, _identity_centroids(before))
+    dist_after = _distances(hr_centroids, _identity_centroids(after))
     shared = sorted(set(dist_before) & set(dist_after))
     if not shared:
         raise DataError("no identity present in both comparisons")
@@ -216,13 +211,13 @@ def project_2d(
     magnitude is positive.  Rows are (identity, resolution, x, y) in pooled
     record order.
     """
-    records = [r for s in sets for r in s.records]
+    ids, rates, x = (np.concatenate([getattr(s, name) for s in sets])
+                     for name in ("identity_array", "rate_array", "matrix"))
     if num_identities is not None:
-        keep = set(sorted({r.identity for r in records})[:num_identities])
-        records = [r for r in records if r.identity in keep]
-    if len(records) < 2:
+        keep = np.isin(ids, np.unique(ids)[:num_identities])
+        ids, rates, x = ids[keep], rates[keep], x[keep]
+    if len(ids) < 2:
         raise DataError("2-d projection needs at least two records")
-    x = np.stack([r.vector for r in records])
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (x.shape[0] - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -236,7 +231,5 @@ def project_2d(
         if nonzero.size and loadings[nonzero[0]] < 0:
             top[:, c] = -loadings
     coords = centered @ top
-    return [
-        (rec.identity, rec.resolution, float(coords[i, 0]), float(coords[i, 1]))
-        for i, rec in enumerate(records)
-    ]
+    return [(identity, Resolution(rate), cx, cy) for identity, rate, (cx, cy)
+            in zip(ids.tolist(), rates.tolist(), coords.tolist())]

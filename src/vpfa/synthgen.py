@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingRecord, EmbeddingSet, Resolution
+from .embeddings import EmbeddingSet
 
 
 @dataclass(frozen=True)
@@ -73,21 +73,21 @@ def generate(cfg: SynthConfig) -> EmbeddingSet:
     rng.standard_normal(cfg.dim)  # direction slot; value comes from planted_direction
     direction = planted_direction(cfg)
 
-    records = []
-    for identity in range(cfg.num_identities):
-        prototype = cfg.id_spread * rng.standard_normal(cfg.dim)
-        for j in range(cfg.samples_per_res):
-            vec = prototype + cfg.sample_noise * rng.standard_normal(cfg.dim)
-            records.append(
-                EmbeddingRecord(identity, j % cfg.cameras, Resolution(0), vec)
-            )
-        for rate in cfg.rates:
+    # A block of k rows drawn at once takes the same values as k draws of one row.
+    n, dim, rates = cfg.samples_per_res, cfg.dim, [0, *cfg.rates]
+    matrix = np.empty((cfg.num_identities * len(rates) * n, dim))
+    for identity, blocks in enumerate(matrix.reshape(cfg.num_identities, len(rates), n, dim)):
+        prototype = cfg.id_spread * rng.standard_normal(dim)
+        blocks[0] = prototype + cfg.sample_noise * rng.standard_normal((n, dim))
+        for k, rate in enumerate(cfg.rates, start=1):
             shift = cfg.shift_magnitude[rate] * direction
-            for j in range(cfg.samples_per_res):
-                base = prototype + cfg.sample_noise * rng.standard_normal(cfg.dim)
-                vec = base - shift + cfg.shift_noise * rng.standard_normal(cfg.dim)
-                records.append(
-                    EmbeddingRecord(identity, j % cfg.cameras, Resolution(rate), vec)
-                )
-    label = f"synth(seed={cfg.seed})"
-    return EmbeddingSet(cfg.dim, records, source_label=label)
+            noise = rng.standard_normal((n, 2, dim))  # per sample: base noise, shift noise
+            base = prototype + cfg.sample_noise * noise[:, 0]
+            blocks[k] = base - shift + cfg.shift_noise * noise[:, 1]
+    return EmbeddingSet.from_arrays(
+        matrix,
+        np.repeat(np.arange(cfg.num_identities), len(rates) * n),
+        np.tile(np.arange(n) % cfg.cameras, cfg.num_identities * len(rates)),
+        np.tile(np.repeat(rates, n), cfg.num_identities),
+        source_label=f"synth(seed={cfg.seed})",
+    )

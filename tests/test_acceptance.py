@@ -5,6 +5,7 @@ end-to-end criteria (7-11) share one CLI pipeline fixture: synthetic set,
 120-epoch training at dim 64 / hidden 64, panning, evaluation.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -258,6 +259,21 @@ def test_criterion_11_cross_domain(pipeline, tmp_path):
           f"shared direction rank1 {before:.4f} -> {after:.4f} "
           f"(gain {after - before:+.4f}); independent direction "
           f"{indep_before:.4f} -> {indep_after:.4f} (no gain required)")
+
+
+# First 16 hex digits of the sha256 of the pipeline's binary artifacts,
+# which hold no paths; any change to a byte of them shows here.
+GOLDEN_HASHES = {
+    "set": "855928beacc2b4b0",
+    "params": "13a95c4aab9e11b3",
+    "panned": "9ad4759aa5dac756",
+}
+
+
+def test_golden_artifact_hashes(pipeline):
+    got = {key: hashlib.sha256(pipeline[key].read_bytes()).hexdigest()[:16]
+           for key in GOLDEN_HASHES}
+    assert got == GOLDEN_HASHES
 
 
 def test_criterion_12_parameter_count():

@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from vpfa.cli import dispatch
 from vpfa.embeddings import load_set
 from vpfa.synthgen import SynthConfig, generate
-from vpfa.vpnet import TENSOR_ORDER, load_params
+from vpfa.vpnet import TENSOR_ORDER, init_params, load_params, save_params
 
 
 def run(*argv):
@@ -115,6 +116,15 @@ class TestErrorPaths:
         assert err.startswith("error: ") and f"{data}: line 2:" in err
         assert list(tmp_path.iterdir()) == [data]
 
+    def test_huge_csv_header_dim_exits_1_at_the_first_row(self, tmp_path, capsys):
+        data = tmp_path / "s.csv"
+        data.write_text(f"dim={10**12}\n0,0,HR,1,2\n")
+        assert run("eval", "--data", str(data), "--format", "csv",
+                   "--out", str(tmp_path / "r.txt")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{data}: line 2: expected" in err
+        assert list(tmp_path.iterdir()) == [data]
+
     def test_non_finite_params_exits_1_without_output(self, synth_file, tmp_path, capsys):
         params = tmp_path / "nan.vpnp"
         assert run("train", "--data", str(synth_file), "--hidden", "4", "--epochs", "1",
@@ -129,6 +139,41 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(params) in err and "non-finite" in err
         assert not out.exists()
+
+
+class TestOutputOverInput:
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--data", "{set}", "--out", "{set}"),
+        ("eval", "--data", "{set}", "--out", "r.txt", "--csv", "{set_alias}"),
+        ("apply", "--data", "{set}", "--params", "{params}", "--out", "{set_alias}"),
+        ("apply", "--data", "{set}", "--params", "{params}", "--out", "{params}"),
+        ("centroids", "--data", "{set}", "--params", "{params}", "--out", "{params}"),
+        ("train", "--data", "{set}", "--hidden", "2", "--out", "p.vpnp", "--log", "{set}"),
+        ("stats", "--data", "t.cca.csv", "--format", "csv", "--out", "r.txt",
+         "--csv-prefix", "t"),
+        ("project", "--data", "t.cca.csv", "--data", "{set}", "--out", "{set}"),
+        # Outputs named by no flag: train's default loss log, and every manifest.
+        ("train", "--data", "q.log.csv", "--hidden", "2", "--epochs", "1", "--pairs", "8",
+         "--out", "q"),
+        ("eval", "--data", "m.manifest.json", "--out", "m"),
+    ])
+    def test_exits_1_and_leaves_every_file_as_it_was(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run("gen", "--dim", "4", "--ids", "3", "--per-res", "2", "--out", "s.vpfa") == 0
+        save_params(init_params(4, 2), "p.vpnp")
+        (tmp_path / "sub").mkdir()
+        Path("t.cca.csv").write_text("dim=4\n")
+        Path("s.vpfa.manifest.json").unlink()
+        for alias in ("q.log.csv", "m.manifest.json"):
+            Path(alias).write_bytes(Path("s.vpfa").read_bytes())
+        before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        names = {"set": "s.vpfa", "set_alias": str(tmp_path / "sub" / ".." / "s.vpfa"),
+                 "params": "p.vpnp"}
+        capsys.readouterr()
+        assert run(*(a.format(**names) for a in argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: output ") and "would overwrite input" in err
+        assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ from vpfa.retrieval import (
 )
 from vpfa.synthgen import SynthConfig, generate
 from vpfa.trainer import TrainConfig, train
-from vpfa.vpnet import NetConfig, init_params
+from vpfa.vpnet import NetConfig, forward, init_params
 
 HR = Resolution(0)
 LR2 = Resolution(2)
@@ -74,6 +74,25 @@ class TestApplyPanning:
         s = generate(SynthConfig(dim=32, num_identities=3, seed=0))
         with pytest.raises(ValueError, match="dim"):
             apply_panning(init_params(16, 8), s)
+
+    def test_rows_equal_one_forward_of_the_selected_rows(self):
+        s = generate(SynthConfig(dim=8, num_identities=6, rates=(2, 3),
+                                 shift_magnitude={2: 1.0, 3: 2.0}, seed=4))
+        params = init_params(8, 4, init_std=0.5, seed=5)
+        for target, chosen in (("lr", s.rate_array != 0), ("all", np.ones(len(s), bool))):
+            out = apply_panning(params, s, target=target)
+            expected = s.matrix.copy()
+            expected[chosen] = forward(params, s.matrix[chosen])[0]
+            assert out.matrix.tobytes() == expected.tobytes()
+            for name in ("identity_array", "camera_array", "rate_array"):
+                assert getattr(out, name).tobytes() == getattr(s, name).tobytes()
+
+    def test_non_finite_output_rejected(self):
+        s = generate(SynthConfig(dim=4, num_identities=2, samples_per_res=2, seed=6))
+        params = init_params(4, 3, init_std=0.5, seed=7)
+        params.b4[...] = np.nan  # the residual, and so every panned row, is NaN
+        with pytest.raises(ValueError, match="non-finite value in record 2"):
+            apply_panning(params, s)  # record 2 is the first LR record
 
     def test_trained_panning_pulls_centroids_closer(self):
         train_set = generate(SynthConfig(num_identities=100, seed=7))
@@ -372,6 +391,36 @@ class TestCentroids:
         with pytest.raises(DataError, match="share"):
             centroid_distances(a, b)
 
+    def test_centroids_equal_the_record_loop(self):
+        rng = np.random.default_rng(13)
+        ids = rng.integers(0, 9, size=80)
+        s = EmbeddingSet(5, [record(int(i), 0, HR, rng.standard_normal(5)) for i in ids])
+        sums, counts = {}, {}
+        for rec in s.records:  # the loop the vectorized sum replaced, in record order
+            if rec.identity in sums:
+                sums[rec.identity] = sums[rec.identity] + rec.vector
+            else:
+                sums[rec.identity] = rec.vector.copy()
+            counts[rec.identity] = counts.get(rec.identity, 0) + 1
+        got = retrieval._identity_centroids(s)
+        assert sorted(got) == sorted(sums)
+        for i in sums:
+            assert got[i].tobytes() == (sums[i] / counts[i]).tobytes()
+
+    def test_compare_computes_hr_centroids_once(self, monkeypatch):
+        hr = generate(SynthConfig(dim=4, num_identities=5, seed=14)).partition(lambda r: r.resolution.is_hr)
+        before = generate(SynthConfig(dim=4, num_identities=5, seed=15))
+        after = generate(SynthConfig(dim=4, num_identities=5, seed=16))
+        seen = []
+        real = retrieval._identity_centroids
+        monkeypatch.setattr(retrieval, "_identity_centroids", lambda e: seen.append(e) or real(e))
+        report = compare_centroids(hr, before, after)
+        assert [e is hr for e in seen].count(True) == 1 and len(seen) == 3
+        monkeypatch.undo()
+        for i, row in report.per_identity.items():
+            assert row.distance_before == centroid_distances(hr, before)[i]
+            assert row.distance_after == centroid_distances(hr, after)[i]
+
     def test_reduction_arithmetic(self):
         hr = EmbeddingSet(2, [record(0, 0, HR, [0.0, 0.0])])
         before = EmbeddingSet(2, [record(0, 0, LR2, [2.0, 0.0])])
@@ -410,6 +459,16 @@ class TestProject2d:
         s = generate(SynthConfig(dim=8, num_identities=20, samples_per_res=2, seed=10))
         rows = project_2d([s], num_identities=12)
         assert {identity for identity, _, _, _ in rows} == set(range(12))
+
+    def test_rows_follow_pooled_record_order_of_the_kept_identities(self):
+        rng = np.random.default_rng(17)
+        a = EmbeddingSet(3, [record(i, 0, HR if k % 2 else LR2, rng.standard_normal(3))
+                             for k, i in enumerate([5, 1, 9, 1, 3, 7, 5])])
+        b = a.partition(a.identity_array != 3)
+        rows = project_2d([a, b], num_identities=3)
+        kept = [r for s in (a, b) for r in s.records if r.identity in (1, 3, 5)]
+        assert [(i, res) for i, res, _, _ in rows] == [(r.identity, r.resolution) for r in kept]
+        assert all(type(v) is float for _, _, x, y in rows for v in (x, y))
 
     def test_planted_gap_shrinks_after_panning_in_2d(self):
         cfg = SynthConfig(num_identities=12, seed=11)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vpfa.embeddings import Resolution, save_set
+from vpfa.embeddings import EmbeddingRecord, EmbeddingSet, Resolution, save_set
 from vpfa.synthgen import SynthConfig, generate, planted_direction
 
 
@@ -14,6 +14,27 @@ def brute_force_centroids(eset):
     hr_cent = {i: np.mean(v, axis=0) for i, v in hr.items()}
     lr_cent = {i: np.mean(v, axis=0) for i, v in lr.items()}
     return hr_cent, lr_cent
+
+
+def reference_generate(cfg):
+    """The generator as one record per draw: the draw order and arithmetic
+    that ``generate`` must reproduce byte for byte."""
+    rng = np.random.default_rng(cfg.seed)
+    rng.standard_normal(cfg.dim)
+    direction = planted_direction(cfg)
+    records = []
+    for identity in range(cfg.num_identities):
+        prototype = cfg.id_spread * rng.standard_normal(cfg.dim)
+        for j in range(cfg.samples_per_res):
+            vec = prototype + cfg.sample_noise * rng.standard_normal(cfg.dim)
+            records.append(EmbeddingRecord(identity, j % cfg.cameras, Resolution(0), vec))
+        for rate in cfg.rates:
+            shift = cfg.shift_magnitude[rate] * direction
+            for j in range(cfg.samples_per_res):
+                base = prototype + cfg.sample_noise * rng.standard_normal(cfg.dim)
+                vec = base - shift + cfg.shift_noise * rng.standard_normal(cfg.dim)
+                records.append(EmbeddingRecord(identity, j % cfg.cameras, Resolution(rate), vec))
+    return EmbeddingSet(cfg.dim, records, source_label=f"synth(seed={cfg.seed})")
 
 
 class TestConfigValidation:
@@ -50,6 +71,19 @@ class TestGenerate:
         save_set(generate(cfg), p1, "bin")
         save_set(generate(cfg), p2, "bin")
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("cfg", [
+        SynthConfig(dim=16, num_identities=7, samples_per_res=3, seed=4),
+        SynthConfig(dim=1, num_identities=3, samples_per_res=5, cameras=3, rates=(4, 2, 9),
+                    shift_magnitude={2: 0.5, 4: 1.0, 9: 3.0}, seed=8, direction_seed=1),
+        SynthConfig(dim=8, num_identities=2, samples_per_res=2, sample_noise=0.0,
+                    shift_noise=0.0, rates=(), seed=2),
+    ])
+    def test_equals_the_record_loop_byte_for_byte(self, cfg):
+        got, want = generate(cfg), reference_generate(cfg)
+        assert got.source_label == want.source_label
+        for name in ("matrix", "identity_array", "camera_array", "rate_array"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_record_order_and_cameras(self):
         cfg = SynthConfig(
