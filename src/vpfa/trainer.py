@@ -18,7 +18,7 @@ import numpy as np
 from .embeddings import EmbeddingSet
 from .errors import DataError
 from .stats import cosine
-from .vpnet import NetConfig, VPParams, backward, forward, init_from_config
+from .vpnet import ForwardTrace, NetConfig, VPParams, backward, forward, init_from_config
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,8 @@ class TrainConfig:
     bootstrap_fraction: float = 0.5
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.learning_rate) and math.isfinite(self.weight_decay)):
+            raise ValueError("learning_rate and weight_decay must be finite")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.num_pairs < 1:
@@ -57,18 +59,19 @@ class TrainLog:
     wall_time: float = 0.0
 
 
-def _samples_by_identity(
+def _rows_by_identity(
     eset: EmbeddingSet, rates: list[int] | None
-) -> tuple[dict[int, list[np.ndarray]], dict[int, list[np.ndarray]]]:
-    wanted = None if rates is None else set(rates)
-    hr: dict[int, list[np.ndarray]] = {}
-    lr: dict[int, list[np.ndarray]] = {}
-    for rec in eset.records:
-        if rec.resolution.is_hr:
-            hr.setdefault(rec.identity, []).append(rec.vector)
-        elif wanted is None or rec.resolution.rate in wanted:
-            lr.setdefault(rec.identity, []).append(rec.vector)
-    return hr, lr
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """Row indices of each identity's HR and LR samples, in record order."""
+    hr_mask = eset.rate_array == 0
+    lr_mask = ~hr_mask if rates is None else ~hr_mask & np.isin(eset.rate_array, rates)
+    groups = []
+    for mask in (hr_mask, lr_mask):
+        rows = np.flatnonzero(mask)
+        rows = rows[np.argsort(eset.identity_array[rows], kind="stable")]
+        ids, starts = np.unique(eset.identity_array[rows], return_index=True)
+        groups.append(dict(zip(ids.tolist(), np.split(rows, starts[1:]))))
+    return groups[0], groups[1]
 
 
 def build_prototype_pairs(
@@ -80,16 +83,15 @@ def build_prototype_pairs(
     Returns the pairs in sorted identity order plus the count of skipped
     identities.
     """
-    hr, lr = _samples_by_identity(eset, rates)
+    hr, lr = _rows_by_identity(eset, rates)
     pairs = []
     skipped = 0
     for identity in sorted(set(hr) | set(lr)):
-        hs = hr.get(identity, [])
-        ls = lr.get(identity, [])
+        hs = hr.get(identity, ())
+        ls = lr.get(identity, ())
         if len(hs) >= 2 and len(ls) >= 2:
-            pairs.append(
-                PrototypePair(identity, np.mean(ls, axis=0), np.mean(hs, axis=0))
-            )
+            pairs.append(PrototypePair(
+                identity, eset.matrix[ls].mean(axis=0), eset.matrix[hs].mean(axis=0)))
         else:
             skipped += 1
     if not pairs:
@@ -112,9 +114,9 @@ def sample_training_pairs(
     """
     if not pairs:
         raise DataError("no prototype pairs to sample from")
-    hr, lr = _samples_by_identity(eset, rates)
-    hr_mats = {p.identity: np.stack(hr[p.identity]) for p in pairs}
-    lr_mats = {p.identity: np.stack(lr[p.identity]) for p in pairs}
+    hr, lr = _rows_by_identity(eset, rates)
+    hr_mats = {p.identity: eset.matrix[hr[p.identity]] for p in pairs}
+    lr_mats = {p.identity: eset.matrix[lr[p.identity]] for p in pairs}
 
     rng = np.random.default_rng(cfg.seed)
     ids = np.array([p.identity for p in pairs])
@@ -247,21 +249,41 @@ def train(
     state = AdamState.zeros_like(theta)
     order_rng = np.random.default_rng([cfg.seed, 1])
     num = z_lr.shape[0]
-    steps = math.ceil(num / cfg.batch_size)
+    rows = min(cfg.batch_size, num)
+    steps = math.ceil(num / rows)
+    # One workspace per run: the network's trace plus, per row, the gathered
+    # LR and HR means, the loss gradient and its squares.  The short last
+    # batch uses the first rows of the same buffers.
+    trace = ForwardTrace.allocate(rows, net_cfg.dim, net_cfg.hidden)
+    batch = np.empty((4, rows, net_cfg.dim))
+    workspaces = {rows: (trace, batch)}
+    last = num - (steps - 1) * rows
+    workspaces.setdefault(last, (trace.head(last), batch[:, :last]))
     log = TrainLog()
     t = 0
-    for _epoch in range(cfg.epochs):
-        perm = order_rng.permutation(num)
-        epoch_total = 0.0
-        for s in range(steps):
-            idx = perm[s * cfg.batch_size : (s + 1) * cfg.batch_size]
-            zhat, trace = forward(params, z_lr[idx])
-            diff = zhat - z_hr[idx]
-            epoch_total += float(np.sum(diff * diff))
-            grad_out = (2.0 / idx.size) * diff  # mean of per-pair losses
-            backward(params, trace, grad_out, out=grads["theta"])
-            t += 1
-            adam_step(theta, grads, state, lr=cfg.learning_rate, wd=cfg.weight_decay, t=t)
-        log.epoch_loss.append(epoch_total / num)
+    # A run that overflows is reported below, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            perm = order_rng.permutation(num)
+            epoch_total = 0.0
+            for s in range(steps):
+                idx = perm[s * rows : (s + 1) * rows]
+                ws, (lr, hr, grad_out, sq) = workspaces[idx.size]
+                # mode="clip" writes straight into ``out`` (the indices are in range)
+                np.take(z_lr, idx, axis=0, out=lr, mode="clip")
+                np.take(z_hr, idx, axis=0, out=hr, mode="clip")
+                zhat, ws = forward(params, lr, ws)
+                diff = np.subtract(zhat, hr, out=grad_out)
+                epoch_total += float(np.add.reduce(np.square(diff, out=sq), axis=None))
+                np.multiply(2.0 / idx.size, diff, out=grad_out)  # mean of per-pair losses
+                backward(params, ws, grad_out, out=grads["theta"])
+                t += 1
+                adam_step(theta, grads, state, lr=cfg.learning_rate, wd=cfg.weight_decay, t=t)
+            if not math.isfinite(epoch_total):
+                raise DataError(f"training diverged: epoch {epoch} loss is {epoch_total}; "
+                                "lower the learning rate")
+            log.epoch_loss.append(epoch_total / num)
+    if not np.isfinite(params.flat).all():
+        raise DataError("training produced non-finite parameters; lower the learning rate")
     log.wall_time = time.perf_counter() - start
     return params, log

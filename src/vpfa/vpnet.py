@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -118,77 +118,137 @@ def layernorm_forward(
     x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = LN_EPS
 ) -> np.ndarray:
     """Normalize over the last axis with population variance, then affine."""
-    y, _, _ = _layernorm(np.asarray(x, dtype=np.float64), gamma, beta, eps)
+    y = np.array(x, dtype=np.float64)
+    _layernorm(y, gamma, beta, eps, np.empty_like(y), np.empty(y.shape[:-1] + (1,)),
+               np.empty_like(y))
     return y
 
 
-def _layernorm(x, gamma, beta, eps):
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)  # population variance
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv_std
-    return gamma * xhat + beta, xhat, inv_std
+def _layernorm(u, gamma, beta, eps, xhat, inv, sq):
+    """LayerNorm of ``u`` written over ``u``; ``xhat`` and ``inv`` (the
+    inverse std, one per row) are kept for the backward pass, ``sq`` is
+    scratch.  The statistics take ``x.mean``/``x.var``'s roundings: row sum
+    / h, subtract, square, row sum / h."""
+    h = u.shape[-1]
+    mean = np.divide(np.add.reduce(u, axis=-1, keepdims=True, out=inv), h, out=inv)
+    d = np.subtract(u, mean, out=xhat)
+    var = np.divide(np.add.reduce(np.square(d, out=sq), axis=-1, keepdims=True, out=inv), h,
+                    out=inv)
+    np.divide(1.0, np.sqrt(np.add(var, eps, out=inv), out=inv), out=inv)
+    np.multiply(d, inv, out=xhat)
+    np.add(np.multiply(gamma, xhat, out=u), beta, out=u)
 
 
-def _layernorm_backward(dy, xhat, inv_std, gamma, dgamma, dbeta):
-    """Input gradient; the gain/offset gradients go into ``dgamma``/``dbeta``."""
-    np.add.reduce(dy * xhat, axis=0, out=dgamma)
+def _layernorm_backward(dy, xhat, inv_std, gamma, dgamma, dbeta, dx, tmp, col):
+    """Input gradient, written into ``dx`` (``dy`` is overwritten, ``tmp``
+    and ``col`` are scratch); the gain/offset gradients go into
+    ``dgamma``/``dbeta``.  Each operation rounds as in the formula
+    ``dx = (inv_std / h) * (h * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))``
+    with ``dxhat = dy * gamma`` and row sums."""
+    np.add.reduce(np.multiply(dy, xhat, out=tmp), axis=0, out=dgamma)
     np.add.reduce(dy, axis=0, out=dbeta)
-    dxhat = dy * gamma
+    dxhat = np.multiply(dy, gamma, out=dy)
     h = xhat.shape[-1]
-    dx = (inv_std / h) * (
-        h * dxhat
-        - np.sum(dxhat, axis=-1, keepdims=True)
-        - xhat * np.sum(dxhat * xhat, axis=-1, keepdims=True)
-    )
-    return dx
+    np.subtract(np.multiply(h, dxhat, out=dx),
+                np.add.reduce(dxhat, axis=-1, keepdims=True, out=col), out=dx)
+    np.add.reduce(np.multiply(dxhat, xhat, out=tmp), axis=-1, keepdims=True, out=col)
+    np.subtract(dx, np.multiply(xhat, col, out=tmp), out=dx)
+    return np.multiply(np.divide(inv_std, h, out=col), dx, out=dx)
 
 
 @dataclass
 class ForwardTrace:
-    """Activations cached by :func:`forward` for the backward pass."""
+    """Workspace of one forward and backward pass over a batch of rows.
 
-    z: np.ndarray
-    xhat1: np.ndarray
-    inv1: np.ndarray
-    a1: np.ndarray
+    :func:`forward` writes every activation into these buffers and
+    :func:`backward` every temporary, so one trace made by :meth:`allocate`
+    serves any number of steps without allocating; :meth:`head` gives the
+    same buffers for a shorter batch.  Each call that is given a trace
+    overwrites its buffers, and with them the arrays the previous call
+    returned.  ``z`` is the traced input itself, not a copy.
+    """
+
+    xhat1: np.ndarray     # (rows, hidden) normalized pre-activations
+    inv1: np.ndarray      # (rows, 1) LayerNorm inverse std
+    a1: np.ndarray        # (rows, hidden) block outputs after the ReLU
     xhat2: np.ndarray
     inv2: np.ndarray
     a2: np.ndarray
     xhat3: np.ndarray
     inv3: np.ndarray
     a3: np.ndarray
-    residual: np.ndarray
-    single: bool
+    residual: np.ndarray  # (rows, dim) tanh correction
+    zhat: np.ndarray      # (rows, dim) output
+    hid: np.ndarray       # (rows, hidden) scratch
+    col: np.ndarray       # (rows, 1) scratch
+    da: np.ndarray        # (rows, hidden) gradient wrt a block output
+    du: np.ndarray        # (rows, hidden) gradient wrt a pre-activation
+    mask: np.ndarray      # (rows, hidden) bool, ReLU mask
+    dz: np.ndarray        # (rows, dim) head gradient, then input gradient
+    z: np.ndarray | None = None  # (rows, dim) traced input, set by forward
+    single: bool = False
+    grad_cache: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def allocate(cls, rows: int, dim: int, hidden: int) -> "ForwardTrace":
+        """Buffers for batches of ``rows`` inputs."""
+        widths = {"residual": dim, "zhat": dim, "dz": dim,
+                  "inv1": 1, "inv2": 1, "inv3": 1, "col": 1}
+        return cls(**{name: np.empty((rows, widths.get(name, hidden)),
+                                     dtype=bool if name == "mask" else np.float64)
+                      for name in _BUFFERS})
+
+    def head(self, rows: int) -> "ForwardTrace":
+        """A trace over the first ``rows`` rows of these buffers."""
+        return ForwardTrace(**{name: getattr(self, name)[:rows] for name in _BUFFERS},
+                            grad_cache=self.grad_cache)
+
+    def gradient_views(self, flat: np.ndarray, dim: int, hidden: int) -> dict[str, np.ndarray]:
+        """``tensor_views(flat, ...)``, cut once per gradient buffer."""
+        if self.grad_cache.get("flat") is not flat:
+            self.grad_cache.update(flat=flat, views=tensor_views(flat, dim, hidden))
+        return self.grad_cache["views"]
 
 
-def forward(params: VPParams, z: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
-    """Apply the panning network; returns the output and a backward trace."""
+_BUFFERS = tuple(f.name for f in fields(ForwardTrace)
+                 if f.name not in ("z", "single", "grad_cache"))
+
+
+def forward(
+    params: VPParams, z: np.ndarray, trace: ForwardTrace | None = None
+) -> tuple[np.ndarray, ForwardTrace]:
+    """Apply the panning network; returns the output and a backward trace.
+
+    ``trace`` is a workspace from :meth:`ForwardTrace.allocate` (or its
+    :meth:`~ForwardTrace.head`) with one row per input row, which is
+    filled in place and returned; the output is its ``zhat``.  Without
+    one, a trace is allocated for ``z``.
+    """
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
     z2 = np.atleast_2d(z)
     if z2.shape[1] != params.dim:
         raise ValueError(f"input dim {z2.shape[1]} != network dim {params.dim}")
+    if trace is None:
+        trace = ForwardTrace.allocate(z2.shape[0], params.dim, params.hidden)
+    elif trace.zhat.shape != z2.shape or trace.a1.shape[1] != params.hidden:
+        raise ValueError(f"trace for {trace.zhat.shape} inputs, hidden {trace.a1.shape[1]}, "
+                         f"does not fit {z2.shape} inputs, hidden {params.hidden}")
+    trace.z, trace.single = z2, single
 
-    u1 = z2 @ params.w1.T + params.b1
-    y1, xhat1, inv1 = _layernorm(u1, params.gamma1, params.beta1, LN_EPS)
-    a1 = np.maximum(y1, 0.0)
+    a_in = z2
+    for i, xhat, inv, a in (("1", trace.xhat1, trace.inv1, trace.a1),
+                            ("2", trace.xhat2, trace.inv2, trace.a2),
+                            ("3", trace.xhat3, trace.inv3, trace.a3)):
+        w, b, gamma, beta = (getattr(params, n + i) for n in ("w", "b", "gamma", "beta"))
+        np.add(np.matmul(a_in, w.T, out=a), b, out=a)
+        _layernorm(a, gamma, beta, LN_EPS, xhat, inv, trace.hid)
+        a_in = np.maximum(a, 0.0, out=a)
 
-    u2 = a1 @ params.w2.T + params.b2
-    y2, xhat2, inv2 = _layernorm(u2, params.gamma2, params.beta2, LN_EPS)
-    a2 = np.maximum(y2, 0.0)
-
-    u3 = a2 @ params.w3.T + params.b3
-    y3, xhat3, inv3 = _layernorm(u3, params.gamma3, params.beta3, LN_EPS)
-    a3 = np.maximum(y3, 0.0)
-
-    residual = np.tanh(a3 @ params.w4.T + params.b4)
-    zhat = z2 + residual
-
-    trace = ForwardTrace(
-        z=z2, xhat1=xhat1, inv1=inv1, a1=a1, xhat2=xhat2, inv2=inv2, a2=a2,
-        xhat3=xhat3, inv3=inv3, a3=a3, residual=residual, single=single,
-    )
+    residual = trace.residual
+    np.tanh(np.add(np.matmul(a_in, params.w4.T, out=residual), params.b4, out=residual),
+            out=residual)
+    zhat = np.add(z2, residual, out=trace.zhat)
     return (zhat[0] if single else zhat), trace
 
 
@@ -200,7 +260,8 @@ def backward(
     The parameter gradients are written into ``out``, a flat float64 vector
     with the parameters' layout (a new one when None), and returned as its
     views keyed like :data:`TENSOR_ORDER`, together with the gradient with
-    respect to the input (which includes the residual skip path).
+    respect to the input (which includes the residual skip path).  The
+    input gradient and every temporary live in ``trace``'s buffers.
     """
     grad_output = np.asarray(grad_output, dtype=np.float64)
     g = np.atleast_2d(grad_output)
@@ -210,26 +271,29 @@ def backward(
         raise ValueError(f"grad_output shape {g.shape} != traced input {trace.z.shape}")
     if out is None:
         out = np.empty(parameter_count(params.dim, params.hidden))
-    grads = tensor_views(out, params.dim, params.hidden)
+    grads = trace.gradient_views(out, params.dim, params.hidden)
 
-    du = g * (1.0 - trace.residual**2)
+    du = trace.dz
+    np.multiply(g, np.subtract(1.0, np.square(trace.residual, out=du), out=du), out=du)
     np.matmul(du.T, trace.a3, out=grads["w4"])
     np.add.reduce(du, axis=0, out=grads["b4"])
-    da = du @ params.w4
-    for i, a_in, a_out, xhat, inv in (
-        ("3", trace.a2, trace.a3, trace.xhat3, trace.inv3),
-        ("2", trace.a1, trace.a2, trace.xhat2, trace.inv2),
-        ("1", trace.z, trace.a1, trace.xhat1, trace.inv1),
+    da = np.matmul(du, params.w4, out=trace.da)
+    for i, a_in, a_out, xhat, inv, da_in in (
+        ("3", trace.a2, trace.a3, trace.xhat3, trace.inv3, trace.da),
+        ("2", trace.a1, trace.a2, trace.xhat2, trace.inv2, trace.da),
+        ("1", trace.z, trace.a1, trace.xhat1, trace.inv1, trace.dz),
     ):
+        # the ReLU mask multiplies as a bool array, as ``da * (a_out > 0.0)`` does
+        dy = np.multiply(da, np.greater(a_out, 0.0, out=trace.mask), out=da)
         du = _layernorm_backward(
-            da * (a_out > 0.0), xhat, inv, getattr(params, "gamma" + i),
-            grads["gamma" + i], grads["beta" + i],
+            dy, xhat, inv, getattr(params, "gamma" + i),
+            grads["gamma" + i], grads["beta" + i], trace.du, trace.hid, trace.col,
         )
         np.matmul(du.T, a_in, out=grads["w" + i])
         np.add.reduce(du, axis=0, out=grads["b" + i])
-        da = du @ getattr(params, "w" + i)
+        da = np.matmul(du, getattr(params, "w" + i), out=da_in)
 
-    grad_input = g + da
+    grad_input = np.add(g, da, out=trace.dz)
     if trace.single:
         grad_input = grad_input[0]
     return grads, grad_input

@@ -261,11 +261,12 @@ def test_criterion_11_cross_domain(pipeline, tmp_path):
           f"{indep_before:.4f} -> {indep_after:.4f} (no gain required)")
 
 
-# First 16 hex digits of the sha256 of the pipeline's binary artifacts,
-# which hold no paths; any change to a byte of them shows here.
+# First 16 hex digits of the sha256 of the pipeline's binary artifacts and
+# loss log, which hold no paths; any change to a byte of them shows here.
 GOLDEN_HASHES = {
     "set": "855928beacc2b4b0",
     "params": "13a95c4aab9e11b3",
+    "log": "33a5e87e985cc337",
     "panned": "9ad4759aa5dac756",
 }
 

@@ -208,6 +208,21 @@ class TestStats:
 
 
 class TestTrainApplyEval:
+    @pytest.mark.parametrize("flags", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--wd", "nan"),
+        ("--lr", "1e300"),  # finite, but the parameters overflow
+    ])
+    @pytest.mark.filterwarnings("error")  # the error line is the only report
+    def test_non_finite_training_exits_1_without_output(self, synth_file, tmp_path, capsys,
+                                                        flags):
+        out = tmp_path / "p.vpnp"
+        capsys.readouterr()
+        assert run("train", "--data", str(synth_file), "--hidden", "4", "--epochs", "2",
+                   "--pairs", "64", *flags, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_train_is_reproducible(self, synth_file, tmp_path):
         out1 = tmp_path / "a.vpnp"
         out2 = tmp_path / "b.vpnp"

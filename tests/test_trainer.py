@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -17,7 +18,7 @@ from vpfa.trainer import (
     train,
     vpl_loss,
 )
-from vpfa.vpnet import TENSOR_ORDER, NetConfig, init_from_config
+from vpfa.vpnet import TENSOR_ORDER, NetConfig, backward, forward, init_from_config
 
 
 def tiny_set():
@@ -71,6 +72,59 @@ class TestBuildPrototypePairs:
         s = tiny_set().partition(lambda r: r.identity == 1)
         with pytest.raises(DataError, match="two samples"):
             build_prototype_pairs(s)
+
+
+def record_groups(eset, rates=None):
+    """Per-identity HR and LR vectors in record order, walked one record at a time."""
+    hr, lr = {}, {}
+    for rec in eset.records:
+        if rec.resolution.is_hr:
+            hr.setdefault(rec.identity, []).append(rec.vector)
+        elif rates is None or rec.resolution.rate in rates:
+            lr.setdefault(rec.identity, []).append(rec.vector)
+    return hr, lr
+
+
+class TestGroupingMatchesRecordWalk:
+    """The array grouping reproduces the record-by-record lists bit for bit."""
+
+    def setup_method(self):
+        s = generate(SynthConfig(dim=16, num_identities=9, samples_per_res=5,
+                                 shift_magnitude={2: 1.0, 3: 2.0}, rates=(2, 3), seed=4))
+        rows = np.random.default_rng(0).permutation(len(s))[: len(s) * 4 // 5]  # shuffled, uneven
+        self.set = EmbeddingSet.from_arrays(s.matrix[rows], s.identity_array[rows],
+                                            s.camera_array[rows], s.rate_array[rows])
+        self.hr, self.lr = record_groups(self.set)
+
+    @pytest.mark.parametrize("rates", [None, [3]])
+    def test_prototype_means(self, rates):
+        hr, lr = record_groups(self.set, rates)
+        pairs, skipped = build_prototype_pairs(self.set, rates)
+        assert len(pairs) + skipped == len(set(hr) | set(lr))
+        for p in pairs:
+            assert p.hr_mean.tobytes() == np.mean(hr[p.identity], axis=0).tobytes()
+            assert p.lr_mean.tobytes() == np.mean(lr[p.identity], axis=0).tobytes()
+
+    def test_bootstrap_draws(self):
+        pairs, _ = build_prototype_pairs(self.set)
+        cfg = TrainConfig(num_pairs=40, seed=6)
+        rng = np.random.default_rng(cfg.seed)
+        ids = np.array([p.identity for p in pairs])
+        expected = []
+        while len(expected) < cfg.num_pairs:
+            for identity in rng.permutation(ids):
+                if len(expected) == cfg.num_pairs:
+                    break
+                hs, ls = np.stack(self.hr[identity]), np.stack(self.lr[identity])
+                n_h = max(2, math.ceil(cfg.bootstrap_fraction * hs.shape[0]))
+                n_l = max(2, math.ceil(cfg.bootstrap_fraction * ls.shape[0]))
+                pick_h = rng.choice(hs.shape[0], size=n_h, replace=False)
+                pick_l = rng.choice(ls.shape[0], size=n_l, replace=False)
+                expected.append((identity, ls[pick_l].mean(axis=0).tobytes(),
+                                 hs[pick_h].mean(axis=0).tobytes()))
+        got = [(p.identity, p.lr_mean.tobytes(), p.hr_mean.tobytes())
+               for p in sample_training_pairs(pairs, self.set, cfg)]
+        assert got == expected
 
 
 class TestSampleTrainingPairs:
@@ -278,6 +332,39 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(bootstrap_fraction=0.0)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rates_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(**{field: value})
+
+
+def reference_train(eset, net_cfg, cfg):
+    """The training loop with allocating forward/backward calls, step by step."""
+    pairs, _ = build_prototype_pairs(eset)
+    sampled = sample_training_pairs(pairs, eset, cfg)
+    z_lr = np.stack([p.lr_mean for p in sampled])
+    z_hr = np.stack([p.hr_mean for p in sampled])
+    params = init_from_config(net_cfg)
+    theta, grads = {"theta": params.flat}, {"theta": np.empty_like(params.flat)}
+    state = AdamState.zeros_like(theta)
+    order_rng = np.random.default_rng([cfg.seed, 1])
+    num = z_lr.shape[0]
+    losses, t = [], 0
+    for _ in range(cfg.epochs):
+        perm = order_rng.permutation(num)
+        total = 0.0
+        for s in range(math.ceil(num / cfg.batch_size)):
+            idx = perm[s * cfg.batch_size : (s + 1) * cfg.batch_size]
+            zhat, trace = forward(params, z_lr[idx])
+            diff = zhat - z_hr[idx]
+            total += float(np.sum(diff * diff))
+            backward(params, trace, (2.0 / idx.size) * diff, out=grads["theta"])
+            t += 1
+            adam_step(theta, grads, state, lr=cfg.learning_rate, wd=cfg.weight_decay, t=t)
+        losses.append(total / num)
+    return params, losses
+
 
 class TestTrain:
     def setup_method(self):
@@ -310,3 +397,28 @@ class TestTrain:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dim"):
             train(self.set, NetConfig(dim=32, hidden=16), TrainConfig(epochs=1))
+
+    def test_workspace_equals_allocating_loop_with_short_last_batch(self):
+        cfg = TrainConfig(epochs=3, num_pairs=70, batch_size=32, seed=4)  # last batch: 6
+        params, log = train(self.set, self.net_cfg, cfg)
+        ref_params, ref_losses = reference_train(self.set, self.net_cfg, cfg)
+        assert params.flat.tobytes() == ref_params.flat.tobytes()
+        assert log.epoch_loss == ref_losses
+
+    def test_batch_larger_than_pairs_uses_one_batch_of_all_pairs(self):
+        huge = TrainConfig(epochs=2, num_pairs=64, batch_size=10**9, seed=5)
+        exact = TrainConfig(epochs=2, num_pairs=64, batch_size=64, seed=5)
+        p1, log1 = train(self.set, self.net_cfg, huge)
+        p2, log2 = train(self.set, self.net_cfg, exact)
+        assert p1.flat.tobytes() == p2.flat.tobytes()
+        assert log1.epoch_loss == log2.epoch_loss
+
+    def test_divergence_is_a_data_error(self):
+        cfg = TrainConfig(epochs=2, num_pairs=64, learning_rate=1e300, seed=1)
+        with pytest.raises(DataError, match="diverged"):
+            train(self.set, self.net_cfg, cfg)
+
+    def test_non_finite_parameters_are_a_data_error(self):
+        net_cfg = NetConfig(dim=64, hidden=8, init_std=float("inf"))
+        with pytest.raises(DataError, match="non-finite"):
+            train(self.set, net_cfg, TrainConfig(epochs=0, num_pairs=8))

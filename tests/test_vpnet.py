@@ -7,6 +7,7 @@ from vpfa.errors import FormatError
 from vpfa.vpnet import (
     LN_EPS,
     TENSOR_ORDER,
+    ForwardTrace,
     VPParams,
     backward,
     forward,
@@ -271,6 +272,80 @@ class TestBackward:
         with pytest.raises(ValueError, match="shape"):
             backward(p, trace, np.ones((3, 4)))
 
+
+
+def fresh_step(p, z, gout):
+    zhat, trace = forward(p, z)
+    grads, grad_input = backward(p, trace, gout)
+    return zhat.copy(), {k: v.copy() for k, v in grads.items()}, grad_input.copy()
+
+
+class TestWorkspace:
+    """forward/backward through a reused trace equal fresh, allocating calls."""
+
+    def setup_method(self):
+        self.p = init_params(16, 12, init_std=0.4, seed=21)
+        self.rng = np.random.default_rng(22)
+
+    def step(self, trace, rows):
+        z = self.rng.standard_normal((rows, 16))
+        gout = self.rng.standard_normal((rows, 16))
+        zhat, got_trace = forward(self.p, z, trace)
+        assert got_trace is trace and np.shares_memory(zhat, trace.zhat)
+        grads, grad_input = backward(self.p, trace, gout, out=np.empty(self.p.flat.size))
+        ref_zhat, ref_grads, ref_input = fresh_step(self.p, z, gout)
+        assert np.array_equal(zhat, ref_zhat)
+        for name in TENSOR_ORDER:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+        assert np.array_equal(grad_input, ref_input)
+
+    @pytest.mark.parametrize("rows", [32, 8, 1])
+    def test_reused_workspace_equals_fresh_calls(self, rows):
+        trace = ForwardTrace.allocate(rows, 16, 12)
+        for _ in range(3):
+            self.step(trace, rows)
+
+    def test_short_batch_after_full_reads_no_stale_rows(self):
+        trace = ForwardTrace.allocate(32, 16, 12)
+        short = trace.head(8)
+        for rows, ws in ((32, trace), (8, short), (32, trace), (8, short)):
+            self.step(ws, rows)
+
+    def test_single_vector_through_one_row_workspace(self):
+        trace = ForwardTrace.allocate(1, 16, 12)
+        z = self.rng.standard_normal(16)
+        zhat, _ = forward(self.p, z, trace)
+        assert zhat.shape == (16,)
+        grads, grad_input = backward(self.p, trace, np.ones(16))
+        ref_zhat, ref_grads, ref_input = fresh_step(self.p, z, np.ones(16))
+        assert np.array_equal(zhat, ref_zhat) and np.array_equal(grad_input, ref_input)
+        assert all(np.array_equal(grads[k], ref_grads[k]) for k in TENSOR_ORDER)
+
+    def test_mismatched_workspace_rejected(self):
+        with pytest.raises(ValueError, match="trace"):
+            forward(self.p, np.ones((4, 16)), ForwardTrace.allocate(8, 16, 12))
+        with pytest.raises(ValueError, match="trace"):
+            forward(self.p, np.ones((8, 16)), ForwardTrace.allocate(8, 16, 7))
+
+    def test_step_through_workspace_allocates_no_buffers(self):
+        import tracemalloc
+
+        rows, dim, hidden = 256, 64, 128
+        p = init_params(dim, hidden, init_std=0.1, seed=3)
+        trace = ForwardTrace.allocate(rows, dim, hidden)
+        z = self.rng.standard_normal((rows, dim))
+        gout, flat = np.ones((rows, dim)), np.empty(p.flat.size)
+        backward(p, forward(p, z, trace)[1], gout, out=flat)  # views cut once
+        tracemalloc.start()
+        try:
+            backward(p, forward(p, z, trace)[1], gout, out=flat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # numpy's broadcasting ufuncs take an iterator buffer of at most
+        # 8192 elements; a step allocating activations would take many
+        # (rows, hidden) arrays
+        assert peak < rows * hidden * 8 // 2
 
 class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path):
