@@ -171,9 +171,7 @@ class EmbeddingSet:
         is a boolean mask of length N, or a predicate called on each record."""
         if callable(keep):
             keep = np.array([bool(keep(r)) for r in self.records], dtype=bool)
-        keep = np.asarray(keep)
-        if keep.dtype != bool or keep.shape != (len(self),):
-            raise ValueError(f"partition needs a predicate or a boolean mask of length {len(self)}")
+        keep = self._mask(keep, "partition needs a predicate or")
         return EmbeddingSet.from_arrays(
             self.matrix[keep], self.identity_array[keep], self.camera_array[keep],
             self.rate_array[keep], self.source_label,
@@ -183,12 +181,22 @@ class EmbeddingSet:
         """Sorted unique identity IDs."""
         return np.unique(self.identity_array).tolist()
 
-    def records_of(self, identity: int, resolution: Resolution | None = None):
-        """Records of one identity, optionally restricted to one resolution."""
-        keep = self.identity_array == identity
-        if resolution is not None:
-            keep &= self.rate_array == resolution.rate
-        return [self.records[i] for i in np.flatnonzero(keep)]
+    def rows_by_identity(self, mask=None) -> dict[int, np.ndarray]:
+        """Row indices of each identity, in sorted identity order, over the rows
+        where the boolean ``mask`` holds (all rows when None); rows stay in
+        record order, so ``matrix[rows]`` lists an identity's vectors as
+        ``records`` does."""
+        rows = np.arange(len(self)) if mask is None else np.flatnonzero(
+            self._mask(mask, "rows_by_identity needs"))
+        rows = rows[np.argsort(self.identity_array[rows], kind="stable")]
+        ids, starts = np.unique(self.identity_array[rows], return_index=True)
+        return dict(zip(ids.tolist(), np.split(rows, starts[1:])))
+
+    def _mask(self, mask, what: str) -> np.ndarray:
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != (len(self),):
+            raise ValueError(f"{what} a boolean mask of length {len(self)}")
+        return mask
 
 
 def _column(values, dtype) -> np.ndarray:

@@ -159,10 +159,8 @@ def evaluate(
 
 
 def _identity_centroids(eset: EmbeddingSet) -> dict[int, np.ndarray]:
-    ids, inverse = np.unique(eset.identity_array, return_inverse=True)
-    sums = np.zeros((ids.size, eset.dim))
-    np.add.at(sums, inverse, eset.matrix)  # row by row in record order, as a loop adds
-    return dict(zip(ids.tolist(), sums / np.bincount(inverse, minlength=ids.size)[:, None]))
+    groups = eset.rows_by_identity()
+    return {i: eset.matrix[rows].mean(axis=0) for i, rows in groups.items()}
 
 
 def _distances(cent_a: dict[int, np.ndarray], cent_b: dict[int, np.ndarray]) -> dict[int, float]:

@@ -8,6 +8,11 @@ Three analyses, each applied per LR rate:
   baseline of the same shape;
 * grouped Pearson correlation of group-mean difference vectors against the
   global mean shift.
+
+All three read the set's arrays through ``EmbeddingSet.rows_by_identity``:
+the row indices of each identity's HR and LR-at-rate samples, in record
+order.  Means are ``matrix[rows].mean(axis=0)``; HR/LR pairs take the first
+min(#HR, #LR) rows of an identity on each side, in that order.
 """
 
 from __future__ import annotations
@@ -58,6 +63,10 @@ def cca_top_k(
     ``Cxx^{-1/2} Cxy Cyy^{-1/2}``, clipped to [0, 1] and returned in
     descending order (zero-padded if fewer than k exist).
     """
+    if k < 1:
+        raise ValueError("k must be positive")
+    if not 0 <= eps < np.inf:  # also false for nan
+        raise ValueError(f"eps must be finite and non-negative, got {eps}")
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
@@ -66,10 +75,6 @@ def cca_top_k(
         raise DataError("CCA needs at least two rows")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
         raise ValueError("CCA input contains non-finite values")
-    if k < 1:
-        raise ValueError("k must be positive")
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
 
     n = X.shape[0]
     Xc = X - X.mean(axis=0)
@@ -133,38 +138,25 @@ class StatsReport:
     pearson: dict[int, PearsonEntry]
 
 
-def _group_by_identity(
-    eset: EmbeddingSet, lr: Resolution
-) -> tuple[dict[int, list[np.ndarray]], dict[int, list[np.ndarray]]]:
-    """HR and LR-at-rate vectors per identity, in record order."""
-    hr: dict[int, list[np.ndarray]] = {}
-    lrs: dict[int, list[np.ndarray]] = {}
-    for rec in eset.records:
-        if rec.resolution.is_hr:
-            hr.setdefault(rec.identity, []).append(rec.vector)
-        elif rec.resolution == lr:
-            lrs.setdefault(rec.identity, []).append(rec.vector)
-    return hr, lrs
+def _groups(eset: EmbeddingSet, lr: Resolution) -> tuple[dict, dict, list[int]]:
+    """Row indices of each identity's HR and LR-at-rate samples, in record
+    order, and the sorted identities that have both."""
+    hr = eset.rows_by_identity(eset.rate_array == 0)
+    lrs = eset.rows_by_identity((eset.rate_array == lr.rate) & lr.is_lr)
+    return hr, lrs, sorted(hr.keys() & lrs.keys())
 
 
-def _identity_means(hr, lrs, ids) -> tuple[np.ndarray, np.ndarray]:
-    """Per-identity mean HR and mean LR matrices, one row per id."""
-    hr_rows = [np.mean(hr[i], axis=0) for i in ids]
-    lr_rows = [np.mean(lrs[i], axis=0) for i in ids]
-    return np.stack(hr_rows), np.stack(lr_rows)
+def _paired_rows(hr: dict, lrs: dict, ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """HR and LR rows paired by within-identity order: the first
+    min(#HR, #LR) rows of each identity on both sides."""
+    take = [min(hr[i].size, lrs[i].size) for i in ids]
+    return (np.concatenate([hr[i][:n] for i, n in zip(ids, take)]),
+            np.concatenate([lrs[i][:n] for i, n in zip(ids, take)]))
 
 
-def _sample_pairs(hr, lrs, ids, lr) -> tuple[np.ndarray, np.ndarray]:
-    """Row-aligned HR/LR sample matrices paired by within-identity order."""
-    hr_rows = []
-    lr_rows = []
-    for identity in ids:
-        for h, l in zip(hr[identity], lrs[identity]):
-            hr_rows.append(h)
-            lr_rows.append(l)
-    if not hr_rows:
-        raise DataError(f"no paired HR/{lr} samples")
-    return np.stack(hr_rows), np.stack(lr_rows)
+def _means(eset: EmbeddingSet, groups: dict, ids: list[int]) -> np.ndarray:
+    """One row per identity: the mean of its rows in ``groups``."""
+    return np.stack([eset.matrix[groups[i]].mean(axis=0) for i in ids])
 
 
 def split_cosine(eset: EmbeddingSet, rate: int) -> SplitCosineEntry:
@@ -175,8 +167,7 @@ def split_cosine(eset: EmbeddingSet, rate: int) -> SplitCosineEntry:
     per-identity LR means).
     """
     lr = Resolution(rate)
-    hr, lrs = _group_by_identity(eset, lr)
-    ids = sorted(set(hr) & set(lrs))
+    hr, lrs, ids = _groups(eset, lr)
     if len(ids) < 2:
         raise DataError(
             f"split cosine at {lr} needs >= 2 identities with both resolutions, got {len(ids)}"
@@ -184,8 +175,7 @@ def split_cosine(eset: EmbeddingSet, rate: int) -> SplitCosineEntry:
     first, second = half_split_identities(ids)
 
     def shift(half: list[int]) -> np.ndarray:
-        hr_means, lr_means = _identity_means(hr, lrs, half)
-        return hr_means.mean(axis=0) - lr_means.mean(axis=0)
+        return _means(eset, hr, half).mean(axis=0) - _means(eset, lrs, half).mean(axis=0)
 
     value = cosine(shift(first), shift(second))
     return SplitCosineEntry(cosine=value, half_sizes=(len(first), len(second)))
@@ -208,14 +198,13 @@ def cca_with_random_baseline(
     principal components first (recorded in ``components``).
     """
     lr = Resolution(rate)
-    hr, lrs = _group_by_identity(eset, lr)
-    ids = sorted(set(hr) & set(lrs))
+    hr, lrs, ids = _groups(eset, lr)
     if not ids:
         raise DataError(f"no identities with both HR and {lr} records")
     if rows == "identity_mean":
-        hr_mat, lr_mat = _identity_means(hr, lrs, ids)
+        hr_mat, lr_mat = _means(eset, hr, ids), _means(eset, lrs, ids)
     elif rows == "per_sample":
-        hr_mat, lr_mat = _sample_pairs(hr, lrs, ids, lr)
+        hr_mat, lr_mat = (eset.matrix[r] for r in _paired_rows(hr, lrs, ids))
     else:
         raise ValueError(f"unknown row mode {rows!r}")
 
@@ -258,34 +247,24 @@ def grouped_pearson(
     if num_identities < 1 or group_size < 1:
         raise ValueError("num_identities and group_size must be positive")
     lr = Resolution(rate)
-    hr, lrs = _group_by_identity(eset, lr)
-    diffs_by_id = {}
-    for identity in sorted(set(hr) & set(lrs)):
-        pairs = [h - l for h, l in zip(hr[identity], lrs[identity])]
-        if pairs:
-            diffs_by_id[identity] = pairs
-    if len(diffs_by_id) < num_identities:
+    hr, lrs, ids = _groups(eset, lr)
+    if len(ids) < num_identities:
         raise DataError(
             f"grouped pearson at {lr} needs {num_identities} identities with "
-            f"paired samples, got {len(diffs_by_id)}"
+            f"paired samples, got {len(ids)}"
         )
-    global_shift = np.mean(
-        [d for pairs in diffs_by_id.values() for d in pairs], axis=0
-    )
-    selected = sorted(diffs_by_id)[:num_identities]
-    pool = [d for identity in selected for d in diffs_by_id[identity]]
+    hr_rows, lr_rows = _paired_rows(hr, lrs, ids)
+    diffs = eset.matrix[hr_rows] - eset.matrix[lr_rows]  # one row per pair, by identity
+    global_shift = diffs.mean(axis=0)
+    pool = diffs[np.isin(eset.identity_array[hr_rows], ids[:num_identities])]
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(pool))
     num_groups = len(pool) // group_size
     if num_groups == 0:
         raise DataError("not enough difference vectors to form a single group")
-    rs = []
-    for g in range(num_groups):
-        members = order[g * group_size : (g + 1) * group_size]
-        group_mean = np.mean([pool[i] for i in members], axis=0)
-        rs.append(pearson(group_mean, global_shift))
-    rs = np.array(rs)
+    members = order[: num_groups * group_size].reshape(num_groups, group_size)
+    rs = np.array([pearson(pool[m].mean(axis=0), global_shift) for m in members])
     return PearsonEntry(
         mean_r=float(rs.mean()),
         std_r=float(rs.std()),
@@ -297,7 +276,7 @@ def grouped_pearson(
 
 def lr_rates(eset: EmbeddingSet) -> list[int]:
     """Sorted LR rates present in the set."""
-    return sorted({r.resolution.rate for r in eset.records if r.resolution.is_lr})
+    return [rate for rate in np.unique(eset.rate_array).tolist() if rate]
 
 
 def analyze_set(

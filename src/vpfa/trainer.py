@@ -59,19 +59,10 @@ class TrainLog:
     wall_time: float = 0.0
 
 
-def _rows_by_identity(
-    eset: EmbeddingSet, rates: list[int] | None
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Row indices of each identity's HR and LR samples, in record order."""
-    hr_mask = eset.rate_array == 0
-    lr_mask = ~hr_mask if rates is None else ~hr_mask & np.isin(eset.rate_array, rates)
-    groups = []
-    for mask in (hr_mask, lr_mask):
-        rows = np.flatnonzero(mask)
-        rows = rows[np.argsort(eset.identity_array[rows], kind="stable")]
-        ids, starts = np.unique(eset.identity_array[rows], return_index=True)
-        groups.append(dict(zip(ids.tolist(), np.split(rows, starts[1:]))))
-    return groups[0], groups[1]
+def _lr_mask(eset: EmbeddingSet, rates: list[int] | None) -> np.ndarray:
+    """The LR rows at ``rates`` (at every LR rate when None)."""
+    lr = eset.rate_array != 0
+    return lr if rates is None else lr & np.isin(eset.rate_array, rates)
 
 
 def build_prototype_pairs(
@@ -83,7 +74,8 @@ def build_prototype_pairs(
     Returns the pairs in sorted identity order plus the count of skipped
     identities.
     """
-    hr, lr = _rows_by_identity(eset, rates)
+    hr = eset.rows_by_identity(eset.rate_array == 0)
+    lr = eset.rows_by_identity(_lr_mask(eset, rates))
     pairs = []
     skipped = 0
     for identity in sorted(set(hr) | set(lr)):
@@ -114,7 +106,8 @@ def sample_training_pairs(
     """
     if not pairs:
         raise DataError("no prototype pairs to sample from")
-    hr, lr = _rows_by_identity(eset, rates)
+    hr = eset.rows_by_identity(eset.rate_array == 0)
+    lr = eset.rows_by_identity(_lr_mask(eset, rates))
     hr_mats = {p.identity: eset.matrix[hr[p.identity]] for p in pairs}
     lr_mats = {p.identity: eset.matrix[lr[p.identity]] for p in pairs}
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vpfa.cli import dispatch
-from vpfa.embeddings import load_set
+from vpfa.embeddings import EmbeddingSet, load_set
 from vpfa.synthgen import SynthConfig, generate
 from vpfa.vpnet import TENSOR_ORDER, init_params, load_params, save_params
 
@@ -207,6 +207,17 @@ class TestStats:
         assert int(report["rate2.cca_components"]) == 59  # min(n-1, dim)
 
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+    @pytest.mark.filterwarnings("error")  # the error line is the only report
+    def test_non_finite_cca_eps_exits_1_without_output(self, synth_file, tmp_path, capsys, eps):
+        capsys.readouterr()
+        assert run("stats", "--data", str(synth_file), "--out", str(tmp_path / "stats.txt"),
+                   "--pearson-ids", "40", f"--cca-eps={eps}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "eps must be finite" in err and eps in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestTrainApplyEval:
     @pytest.mark.parametrize("flags", [
         ("--lr", "nan"), ("--lr", "inf"), ("--wd", "nan"),
@@ -311,3 +322,28 @@ class TestCentroidsAndProject:
         assert run("project", "--data", str(synth_file), "--data",
                    str(synth_file), "--ids", "4", "--out", str(out)) == 0
         assert len(out.read_text().splitlines()) == 1 + 2 * 4 * 12
+
+
+def test_no_command_builds_records(tmp_path, monkeypatch):
+    """Every command reads a set's arrays; none builds the per-record view."""
+    monkeypatch.setattr(EmbeddingSet, "records",
+                        property(lambda self: pytest.fail("a command built EmbeddingSet.records")))
+    paths = {name: str(tmp_path / name) for name in
+             ("s.vpfa", "stats.txt", "eval.txt", "vp.vpnp", "panned.vpfa", "c.txt", "p.csv")}
+    for argv in (
+        ("gen", "--dim", "8", "--ids", "12", "--per-res", "4", "--rates", "2,3", "--seed", "2",
+         "--out", paths["s.vpfa"]),
+        ("stats", "--data", paths["s.vpfa"], "--pearson-ids", "10", "--out", paths["stats.txt"]),
+        ("eval", "--data", paths["s.vpfa"], "--out", paths["eval.txt"], "--csv",
+         str(tmp_path / "ap.csv")),
+        ("train", "--data", paths["s.vpfa"], "--hidden", "8", "--epochs", "2", "--pairs", "64",
+         "--rates", "3", "--out", paths["vp.vpnp"]),
+        ("apply", "--data", paths["s.vpfa"], "--params", paths["vp.vpnp"],
+         "--out", paths["panned.vpfa"]),
+        ("centroids", "--data", paths["s.vpfa"], "--params", paths["vp.vpnp"],
+         "--out", paths["c.txt"]),
+        ("project", "--data", paths["s.vpfa"], "--data", paths["panned.vpfa"],
+         "--out", paths["p.csv"]),
+    ):
+        assert run(*argv) == 0, argv
+    assert all(Path(p).exists() for p in paths.values())

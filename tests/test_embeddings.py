@@ -286,6 +286,50 @@ class TestPartition:
         assert positions == sorted(positions)
 
 
+def walk_rows_by_identity(eset, keep):
+    """Row indices per identity, one record at a time: the reference grouping."""
+    groups = {}
+    for row, rec in enumerate(eset.records):
+        if keep(rec):
+            groups.setdefault(rec.identity, []).append(row)
+    return {i: groups[i] for i in sorted(groups)}
+
+
+class TestRowsByIdentity:
+    def setup_method(self):
+        rng = np.random.default_rng(11)
+        n = 60
+        rates = rng.choice([0, 2, 3], size=n)
+        self.set = EmbeddingSet.from_arrays(  # shuffled ids, uneven counts per resolution
+            rng.standard_normal((n, 3)), rng.integers(0, 9, size=n) * 7, rng.integers(0, 3, size=n),
+            rates)
+
+    @pytest.mark.parametrize("mask, keep", [
+        (None, lambda r: True),
+        ("hr", lambda r: r.resolution.is_hr),
+        ("rate3", lambda r: r.resolution.rate == 3),
+        ("none", lambda r: False),
+    ])
+    def test_equals_the_record_walk(self, mask, keep):
+        s = self.set
+        mask = {None: None, "hr": s.rate_array == 0, "rate3": s.rate_array == 3,
+                "none": np.zeros(len(s), dtype=bool)}[mask]
+        got = s.rows_by_identity(mask)
+        want = walk_rows_by_identity(s, keep)
+        assert list(got) == list(want)  # sorted identity order
+        assert {i: rows.tolist() for i, rows in got.items()} == want
+        assert all(rows.dtype == np.intp for rows in got.values())
+
+    def test_empty_mask_and_empty_set_give_no_groups(self):
+        assert self.set.rows_by_identity(np.zeros(len(self.set), dtype=bool)) == {}
+        assert EmbeddingSet(3).rows_by_identity() == {}
+
+    @pytest.mark.parametrize("mask", [np.ones(5, dtype=bool), np.ones(60, dtype=int)])
+    def test_rejects_a_mask_that_is_not_one_bool_per_row(self, mask):
+        with pytest.raises(ValueError, match="boolean mask of length 60"):
+            self.set.rows_by_identity(mask)
+
+
 def columns(num=12, dim=5, seed=6):
     """Raw columns of a small set: vectors, identities, cameras, rates."""
     rng = np.random.default_rng(seed)

@@ -107,13 +107,10 @@ class TestApplyPanning:
         closer = 0
         total = 0
         for identity in fresh.identities():
-            hr = np.mean([r.vector for r in fresh.records_of(identity, HR)], axis=0)
-            before = np.mean(
-                [r.vector for r in fresh.records_of(identity, LR2)], axis=0
-            )
-            after = np.mean(
-                [r.vector for r in panned.records_of(identity, LR2)], axis=0
-            )
+            own = fresh.identity_array == identity  # panned keeps fresh's row labels
+            hr = fresh.matrix[own & (fresh.rate_array == HR.rate)].mean(axis=0)
+            before = fresh.matrix[own & (fresh.rate_array == LR2.rate)].mean(axis=0)
+            after = panned.matrix[own & (panned.rate_array == LR2.rate)].mean(axis=0)
             total += 1
             closer += np.linalg.norm(hr - after) < np.linalg.norm(hr - before)
         assert closer / total >= 0.9

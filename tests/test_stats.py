@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from vpfa.embeddings import EmbeddingRecord, EmbeddingSet, Resolution
+from vpfa.embeddings import EmbeddingRecord, EmbeddingSet, Resolution, half_split_identities
 from vpfa.errors import DataError
 from vpfa.stats import (
+    CcaEntry,
+    PearsonEntry,
+    SplitCosineEntry,
+    _pca_reduce,
     analyze_set,
     cca_top_k,
     cca_with_random_baseline,
@@ -145,6 +149,15 @@ class TestCcaTopK:
         deficient = np.hstack([x, x[:, :1]])  # duplicated column
         with pytest.raises(DataError, match="rank-deficient"):
             cca_top_k(deficient, x, 2, eps=0.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, -1e-9])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_or_negative_eps_rejected(self, eps):
+        x = np.random.default_rng(9).standard_normal((10, 3))
+        with pytest.raises(ValueError, match="eps must be finite and non-negative"):
+            cca_top_k(x, x, 2, eps=eps)
+        with pytest.raises(ValueError, match="eps"):
+            analyze_set(planted_set(num_identities=4), cca_eps=eps, num_identities=4)
 
     def test_single_row_rejected(self):
         with pytest.raises(DataError):
@@ -309,6 +322,104 @@ class TestGroupedPearson:
         a = grouped_pearson(s, 2, num_identities=12, seed=4)
         b = grouped_pearson(s, 2, num_identities=12, seed=4)
         assert a == b
+
+
+def walk_groups(eset, rate):
+    """HR and LR-at-rate vectors per identity, walked one record at a time."""
+    hr, lrs = {}, {}
+    for rec in eset.records:
+        if rec.resolution.is_hr:
+            hr.setdefault(rec.identity, []).append(rec.vector)
+        elif rec.resolution == Resolution(rate):
+            lrs.setdefault(rec.identity, []).append(rec.vector)
+    return hr, lrs, sorted(set(hr) & set(lrs))
+
+
+def walk_means(hr, lrs, ids):
+    return (np.stack([np.mean(hr[i], axis=0) for i in ids]),
+            np.stack([np.mean(lrs[i], axis=0) for i in ids]))
+
+
+def walk_pairs(hr, lrs, ids):
+    pairs = [(h, l) for i in ids for h, l in zip(hr[i], lrs[i])]
+    return np.stack([h for h, _ in pairs]), np.stack([l for _, l in pairs])
+
+
+def walk_split_cosine(eset, rate):
+    hr, lrs, ids = walk_groups(eset, rate)
+    halves = half_split_identities(ids)
+    shifts = [np.subtract(*(m.mean(axis=0) for m in walk_means(hr, lrs, h))) for h in halves]
+    return SplitCosineEntry(cosine(*shifts), tuple(len(h) for h in halves))
+
+
+def walk_cca(eset, rate, k=3, eps=1e-6, seed=0, rows="per_sample"):
+    hr, lrs, ids = walk_groups(eset, rate)
+    hr_mat, lr_mat = (walk_means if rows == "identity_mean" else walk_pairs)(hr, lrs, ids)
+    n, dim = hr_mat.shape
+    components = min(n - 1, dim)
+    if dim > n - 1:
+        hr_mat, lr_mat = _pca_reduce(hr_mat, components), _pca_reduce(lr_mat, components)
+    rng = np.random.default_rng(seed)
+    baseline = cca_top_k(rng.standard_normal(hr_mat.shape), rng.standard_normal(lr_mat.shape),
+                         k, eps)
+    return CcaEntry(tuple(cca_top_k(hr_mat, lr_mat, k, eps)), tuple(baseline), n, components)
+
+
+def walk_pearson(eset, rate, num_identities, group_size, seed, threshold=0.4):
+    hr, lrs, ids = walk_groups(eset, rate)
+    diffs = {i: [h - l for h, l in zip(hr[i], lrs[i])] for i in ids}
+    global_shift = np.mean([d for i in ids for d in diffs[i]], axis=0)
+    pool = [d for i in ids[:num_identities] for d in diffs[i]]
+    order = np.random.default_rng(seed).permutation(len(pool))
+    num_groups = len(pool) // group_size
+    rs = np.array([pearson(np.mean([pool[j] for j in order[g * group_size:(g + 1) * group_size]],
+                                   axis=0), global_shift) for g in range(num_groups)])
+    return PearsonEntry(float(rs.mean()), float(rs.std()), float(np.mean(rs > threshold)),
+                        num_groups, threshold)
+
+
+class TestEqualsTheRecordWalk:
+    """Each analysis equals (==) the record-by-record grouping it replaced, on a
+    shuffled set with uneven HR/LR counts per identity."""
+
+    def setup_method(self):
+        s = planted_set(dim=16, num_identities=12, samples_per_res=5,
+                        shift_magnitude={2: 1.0, 3: 2.0}, rates=(2, 3), seed=3)
+        rng = np.random.default_rng(5)
+        drop = ((s.identity_array == 0) & (s.rate_array == 0)).nonzero()[0][:2]  # id 0: 3 HR, 5 LR
+        others = rng.choice(np.flatnonzero(s.identity_array != 0), 25)  # uneven elsewhere
+        keep = np.setdiff1d(np.arange(len(s)), np.concatenate([drop, others]))
+        rows = rng.permutation(keep)
+        self.set = EmbeddingSet.from_arrays(s.matrix[rows], s.identity_array[rows],
+                                            s.camera_array[rows], s.rate_array[rows])
+        own = self.set.identity_array == 0
+        assert np.count_nonzero(own & (self.set.rate_array == 0)) == 3
+        assert np.count_nonzero(own & (self.set.rate_array == 2)) == 5
+
+    @pytest.mark.parametrize("rate", [2, 3])
+    def test_split_cosine(self, rate):
+        assert split_cosine(self.set, rate) == walk_split_cosine(self.set, rate)
+
+    @pytest.mark.parametrize("rows", ["per_sample", "identity_mean"])
+    @pytest.mark.parametrize("rate", [2, 3])
+    def test_cca(self, rows, rate):
+        got = cca_with_random_baseline(self.set, rate, eps=1e-4, seed=2, rows=rows)
+        assert got == walk_cca(self.set, rate, eps=1e-4, seed=2, rows=rows)
+
+    @pytest.mark.parametrize("num_ids, group_size", [(12, 2), (7, 3), (1, 1)])
+    def test_grouped_pearson(self, num_ids, group_size):
+        got = grouped_pearson(self.set, 2, num_ids, group_size, seed=4)
+        assert got == walk_pearson(self.set, 2, num_ids, group_size, seed=4)
+
+    def test_rate_0_pairs_no_lr_rows(self):
+        with pytest.raises(DataError, match="got 0"):
+            split_cosine(self.set, 0)
+        with pytest.raises(DataError, match="no identities"):
+            cca_with_random_baseline(self.set, 0)
+
+    def test_lr_rates(self):
+        assert lr_rates(self.set) == [2, 3]
+        assert lr_rates(self.set.partition(self.set.rate_array == 0)) == []
 
 
 class TestAnalyzeSet:

@@ -60,10 +60,11 @@ class TestGenerate:
         )
         s = generate(cfg)
         for identity in s.identities():
-            hr = s.records_of(identity, Resolution(0))
-            lr = s.records_of(identity, Resolution(2))
+            own = s.identity_array == identity
+            hr = s.matrix[own & (s.rate_array == 0)]
+            lr = s.matrix[own & (s.rate_array == 2)]
             for h, l in zip(hr, lr):
-                np.testing.assert_array_equal(h.vector, l.vector)
+                np.testing.assert_array_equal(h, l)
 
     def test_same_seed_bitwise_identical(self, tmp_path):
         cfg = SynthConfig(dim=16, num_identities=5, samples_per_res=3, seed=42)
@@ -111,10 +112,8 @@ class TestGenerate:
         hr_cent, _ = brute_force_centroids(s)
         for rate, alpha in [(2, 1.0), (3, 2.5)]:
             for identity in s.identities():
-                lr_mean = np.mean(
-                    [r.vector for r in s.records_of(identity, Resolution(rate))],
-                    axis=0,
-                )
+                own = (s.identity_array == identity) & (s.rate_array == rate)
+                lr_mean = s.matrix[own].mean(axis=0)
                 np.testing.assert_allclose(
                     hr_cent[identity] - lr_mean, alpha * d, atol=1e-12
                 )
