@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -28,6 +29,8 @@ from .synthgen import SynthConfig, generate
 from .trainer import TrainConfig, train
 from .vpnet import NetConfig, load_params, parameter_count, save_params
 
+STATS_TABLES = ("split_cosine", "cca", "pearson")  # the --csv-prefix tables, in write order
+
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
@@ -40,28 +43,49 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        _reject_overwrites(args)
-        args.handler(args)
+        inputs, outputs = _files(args)
+        _check_outputs(inputs, outputs)
+        args.handler(args, outputs)
+        _write_manifest(args, inputs, outputs)
     except (VpfaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 
 
-def _reject_overwrites(args: argparse.Namespace) -> None:
-    """Refuse, before anything is written, an output path that names an input file."""
+def _files(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+    """The files a command reads and writes (manifest aside); nothing else names them.
+
+    Outputs are ordered ``--out``, train's ``--log``, the ``--csv-prefix`` tables, ``--csv``.
+    """
     data = getattr(args, "data", None)
     inputs = [*(data if isinstance(data, list) else [data]), getattr(args, "params", None)]
-    resolved = {Path(p).resolve(): p for p in inputs if p}
-    outputs = [args.out, _manifest_path(args.out), getattr(args, "csv", None)]
+    outputs = [args.out]
     if args.command == "train":
-        outputs.append(_train_log_path(args))
+        outputs.append(args.log or f"{args.out}.log.csv")
     if getattr(args, "csv_prefix", None):
-        outputs += _stats_csv_paths(args.csv_prefix)
-    for out in filter(None, outputs):
-        source = resolved.get(Path(out).resolve())
-        if source:
-            raise VpfaError(f"output {out} would overwrite input {source}")
+        outputs += [f"{args.csv_prefix}.{table}.csv" for table in STATS_TABLES]
+    outputs.append(getattr(args, "csv", None))
+    return [p for p in inputs if p], [p for p in outputs if p]
+
+
+def _check_outputs(inputs: list[str], outputs: list[str]) -> None:
+    """Refuse, before anything is written, an output (the manifest included) that is an
+    input, another output or a directory, or whose directory does not exist."""
+    # realpath, not Path.resolve: a symlink loop must end in a clean write error
+    sources = {Path(os.path.realpath(p)): p for p in inputs}
+    seen: dict[Path, str] = {}
+    for out in [*outputs, _manifest_path(outputs[0])]:
+        path = Path(os.path.realpath(out))
+        if path in sources:
+            raise VpfaError(f"output {out} would overwrite input {sources[path]}")
+        if path in seen:
+            raise VpfaError(f"outputs {seen[path]} and {out} name the same file")
+        if path.is_dir():
+            raise VpfaError(f"output {out} is a directory")
+        if not path.parent.is_dir():
+            raise VpfaError(f"output {out}: no directory {path.parent}")
+        seen[path] = out
 
 
 def _parse_rates(text: str) -> list[int]:
@@ -89,8 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"vpfa {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("csv", "bin"), default="bin")
+    common.add_argument("--out", required=True,
+                        help="primary output; its manifest is <out>.manifest.json")
+    one_set = argparse.ArgumentParser(add_help=False, parents=[common])
+    one_set.add_argument("--data", required=True)
 
-    gen = sub.add_parser("gen", help="generate a synthetic cross-resolution set")
+    gen = sub.add_parser("gen", parents=[common], help="generate a synthetic cross-resolution set")
     gen.add_argument("--dim", type=int, default=64)
     gen.add_argument("--ids", type=int, default=200, help="number of identities")
     gen.add_argument("--per-res", type=int, default=10, help="samples per identity per resolution")
@@ -108,27 +138,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--direction-seed", type=int, default=None,
         help="seed the planted direction separately (to share it across sets)",
     )
-    gen.add_argument("--out", required=True)
-    gen.add_argument("--format", choices=("csv", "bin"), default="bin")
     gen.set_defaults(handler=_cmd_gen)
 
-    stats = sub.add_parser("stats", help="resolution-direction statistics of a set")
-    stats.add_argument("--data", required=True)
-    stats.add_argument("--format", choices=("csv", "bin"), default="bin")
+    stats = sub.add_parser("stats", parents=[one_set],
+                           help="resolution-direction statistics of a set")
     stats.add_argument("--rates", type=_parse_rates, default=None)
     stats.add_argument("--cca-eps", type=float, default=1e-6)
     stats.add_argument("--cca-rows", choices=("per_sample", "identity_mean"), default="per_sample")
     stats.add_argument("--pearson-ids", type=int, default=50)
     stats.add_argument("--group-size", type=int, default=2)
     stats.add_argument("--seed", type=int, default=0)
-    stats.add_argument("--out", required=True, help="text report path")
     stats.add_argument("--csv-prefix", default=None, help="also write one CSV per table")
     stats.set_defaults(handler=_cmd_stats)
 
-    tr = sub.add_parser("train", help="train the panning network on a set")
-    tr.add_argument("--data", required=True)
-    tr.add_argument("--format", choices=("csv", "bin"), default="bin")
-    tr.add_argument("--out", required=True, help="parameter file path")
+    tr = sub.add_parser("train", parents=[one_set], help="train the panning network on a set")
     tr.add_argument("--log", default=None, help="loss log CSV (default: <out>.log.csv)")
     tr.add_argument("--hidden", type=int, default=2048)
     tr.add_argument("--epochs", type=int, default=120)
@@ -144,36 +167,29 @@ def build_parser() -> argparse.ArgumentParser:
                     help="restrict pairing to these LR rates (default: all)")
     tr.set_defaults(handler=_cmd_train)
 
-    ap = sub.add_parser("apply", help="pan a set's features through trained parameters")
-    ap.add_argument("--data", required=True)
-    ap.add_argument("--format", choices=("csv", "bin"), default="bin")
+    ap = sub.add_parser("apply", parents=[one_set],
+                        help="pan a set's features through trained parameters")
     ap.add_argument("--params", required=True)
     ap.add_argument("--target", choices=("lr", "all"), default="lr")
-    ap.add_argument("--out", required=True)
     ap.set_defaults(handler=_cmd_apply)
 
-    ev = sub.add_parser("eval", help="rank LR queries against the HR gallery of a set")
-    ev.add_argument("--data", required=True)
-    ev.add_argument("--format", choices=("csv", "bin"), default="bin")
+    ev = sub.add_parser("eval", parents=[one_set],
+                        help="rank LR queries against the HR gallery of a set")
     ev.add_argument("--metric", choices=("cosine", "euclidean"), default="cosine")
     ev.add_argument("--no-camera-filter", action="store_true")
-    ev.add_argument("--out", required=True, help="text report path")
     ev.add_argument("--csv", default=None, help="also write per-query AP table")
     ev.set_defaults(handler=_cmd_eval)
 
-    ce = sub.add_parser("centroids", help="HR-LR centroid distances, optionally before/after panning")
-    ce.add_argument("--data", required=True)
-    ce.add_argument("--format", choices=("csv", "bin"), default="bin")
+    ce = sub.add_parser("centroids", parents=[one_set],
+                        help="HR-LR centroid distances, optionally before/after panning")
     ce.add_argument("--params", default=None, help="compare distances before vs after panning")
-    ce.add_argument("--out", required=True, help="text report path")
     ce.add_argument("--csv", default=None, help="also write per-identity table")
     ce.set_defaults(handler=_cmd_centroids)
 
-    pr = sub.add_parser("project", help="2-d principal-component coordinates as CSV")
+    pr = sub.add_parser("project", parents=[common],
+                        help="2-d principal-component coordinates as CSV")
     pr.add_argument("--data", action="append", required=True, help="input set (repeatable)")
-    pr.add_argument("--format", choices=("csv", "bin"), default="bin")
     pr.add_argument("--ids", type=int, default=None, help="restrict to first N sorted identities")
-    pr.add_argument("--out", required=True)
     pr.set_defaults(handler=_cmd_project)
 
     return parser
@@ -194,8 +210,13 @@ def _write_manifest(args: argparse.Namespace, inputs: list[str], outputs: list[s
         "inputs": sorted(inputs),
         "outputs": outputs,
     }
-    path = Path(_manifest_path(outputs[0]))
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True, default=str)
+    _write_lines(_manifest_path(outputs[0]), [text])
+
+
+def _write_lines(path: str, lines) -> None:
+    with open(path, "w") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def _split_queries(eset: EmbeddingSet) -> tuple[EmbeddingSet, EmbeddingSet]:
@@ -204,7 +225,7 @@ def _split_queries(eset: EmbeddingSet) -> tuple[EmbeddingSet, EmbeddingSet]:
     return query, gallery
 
 
-def _cmd_gen(args: argparse.Namespace) -> None:
+def _cmd_gen(args: argparse.Namespace, outputs: list[str]) -> None:
     alpha = dict(args.alpha or [])
     rates = args.rates or (sorted(alpha) if alpha else [2])
     for rate in rates:
@@ -224,11 +245,10 @@ def _cmd_gen(args: argparse.Namespace) -> None:
     )
     eset = generate(cfg)
     save_set(eset, args.out, args.format)
-    _write_manifest(args, inputs=[], outputs=[args.out])
     print(f"wrote {len(eset)} records (dim {eset.dim}) to {args.out}")
 
 
-def _cmd_stats(args: argparse.Namespace) -> None:
+def _cmd_stats(args: argparse.Namespace, outputs: list[str]) -> None:
     eset = load_set(args.data, args.format)
     report = analyze_set(
         eset,
@@ -247,6 +267,8 @@ def _cmd_stats(args: argparse.Namespace) -> None:
         f"cca_eps: {args.cca_eps:g}",
         f"cca_rows: {args.cca_rows}",
     ]
+    tables = (["rate,cosine,half1,half2"], ["rate,kind,r1,r2,r3"],
+              ["rate,mean_r,std_r,proportion_above,groups"])  # in STATS_TABLES order
     for rate in sorted(report.split_cosine):
         sc = report.split_cosine[rate]
         cca = report.cca[rate]
@@ -263,46 +285,18 @@ def _cmd_stats(args: argparse.Namespace) -> None:
             f"rate{rate}.pearson_prop_above: {pe.proportion_above:.6f}",
             f"rate{rate}.pearson_groups: {pe.group_count}",
         ]
-    Path(args.out).write_text("\n".join(lines) + "\n")
-    outputs = [args.out]
-    if args.csv_prefix:
-        outputs += _write_stats_csvs(args.csv_prefix, report)
-    _write_manifest(args, inputs=[args.data], outputs=outputs)
+        tables[0].append(f"{rate},{sc.cosine:.17g},{sc.half_sizes[0]},{sc.half_sizes[1]}")
+        tables[1].append(f"{rate},cross," + ",".join(f"{c:.17g}" for c in cca.cross_res))
+        tables[1].append(f"{rate},random," + ",".join(f"{c:.17g}" for c in cca.random_baseline))
+        tables[2].append(f"{rate},{pe.mean_r:.17g},{pe.std_r:.17g},"
+                         f"{pe.proportion_above:.17g},{pe.group_count}")
+    _write_lines(args.out, lines)
+    for path, table in zip(outputs[1:], tables):
+        _write_lines(path, table)
     print("\n".join(lines))
 
 
-def _stats_csv_paths(prefix: str) -> list[str]:
-    return [f"{prefix}.{table}.csv" for table in ("split_cosine", "cca", "pearson")]
-
-
-def _write_stats_csvs(prefix: str, report) -> list[str]:
-    split_path, cca_path, pearson_path = _stats_csv_paths(prefix)
-    with open(split_path, "w") as fh:
-        fh.write("rate,cosine,half1,half2\n")
-        for rate, sc in sorted(report.split_cosine.items()):
-            fh.write(f"{rate},{sc.cosine:.17g},{sc.half_sizes[0]},{sc.half_sizes[1]}\n")
-    with open(cca_path, "w") as fh:
-        fh.write("rate,kind,r1,r2,r3\n")
-        for rate, entry in sorted(report.cca.items()):
-            cross = ",".join(f"{c:.17g}" for c in entry.cross_res)
-            rand = ",".join(f"{c:.17g}" for c in entry.random_baseline)
-            fh.write(f"{rate},cross,{cross}\n")
-            fh.write(f"{rate},random,{rand}\n")
-    with open(pearson_path, "w") as fh:
-        fh.write("rate,mean_r,std_r,proportion_above,groups\n")
-        for rate, pe in sorted(report.pearson.items()):
-            fh.write(
-                f"{rate},{pe.mean_r:.17g},{pe.std_r:.17g},"
-                f"{pe.proportion_above:.17g},{pe.group_count}\n"
-            )
-    return [split_path, cca_path, pearson_path]
-
-
-def _train_log_path(args: argparse.Namespace) -> str:
-    return args.log or f"{args.out}.log.csv"
-
-
-def _cmd_train(args: argparse.Namespace) -> None:
+def _cmd_train(args: argparse.Namespace, outputs: list[str]) -> None:
     eset = load_set(args.data, args.format)
     net_cfg = NetConfig(
         dim=eset.dim, hidden=args.hidden, init_std=args.init_std, seed=args.init_seed
@@ -318,12 +312,9 @@ def _cmd_train(args: argparse.Namespace) -> None:
     )
     params, log = train(eset, net_cfg, cfg, rates=args.rates)
     save_params(params, args.out)
-    log_path = _train_log_path(args)
-    with open(log_path, "w") as fh:
-        fh.write("epoch,mean_loss\n")
-        for epoch, loss in enumerate(log.epoch_loss, start=1):
-            fh.write(f"{epoch},{loss:.17g}\n")
-    _write_manifest(args, inputs=[args.data], outputs=[args.out, log_path])
+    _write_lines(outputs[1], ["epoch,mean_loss"] + [
+        f"{epoch},{loss:.17g}" for epoch, loss in enumerate(log.epoch_loss, start=1)
+    ])
     count = parameter_count(net_cfg.dim, net_cfg.hidden)
     print(f"trained {count} parameters (dim {net_cfg.dim}, hidden {net_cfg.hidden})")
     if log.epoch_loss:
@@ -331,16 +322,15 @@ def _cmd_train(args: argparse.Namespace) -> None:
     print(f"wall time: {log.wall_time:.2f}s; parameters written to {args.out}")
 
 
-def _cmd_apply(args: argparse.Namespace) -> None:
+def _cmd_apply(args: argparse.Namespace, outputs: list[str]) -> None:
     eset = load_set(args.data, args.format)
     params = load_params(args.params)
     out_set = apply_panning(params, eset, target=args.target)
     save_set(out_set, args.out, args.format)
-    _write_manifest(args, inputs=[args.data, args.params], outputs=[args.out])
     print(f"panned {args.target} records of {args.data} -> {args.out}")
 
 
-def _cmd_eval(args: argparse.Namespace) -> None:
+def _cmd_eval(args: argparse.Namespace, outputs: list[str]) -> None:
     eset = load_set(args.data, args.format)
     query, gallery = _split_queries(eset)
     report = evaluate(
@@ -359,28 +349,24 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     for k in sorted(report.rank_k):
         lines.append(f"rank{k}: {report.rank_k[k]:.6f}")
     lines.append(f"map: {report.mean_ap:.6f}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
-    outputs = [args.out]
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("query_index,identity,ap\n")
-            for qi, identity, ap in report.per_query_ap:
-                fh.write(f"{qi},{identity},{ap:.17g}\n")
-        outputs.append(args.csv)
-    _write_manifest(args, inputs=[args.data], outputs=outputs)
+    _write_lines(args.out, lines)
+    for path in outputs[1:]:
+        _write_lines(path, ["query_index,identity,ap"] + [
+            f"{qi},{identity},{ap:.17g}" for qi, identity, ap in report.per_query_ap
+        ])
     print("\n".join(lines))
 
 
-def _cmd_centroids(args: argparse.Namespace) -> None:
+def _cmd_centroids(args: argparse.Namespace, outputs: list[str]) -> None:
     eset = load_set(args.data, args.format)
     query, gallery = _split_queries(eset)
     lines = [f"source: {args.data}"]
-    csv_rows = []
     if args.params:
         params = load_params(args.params)
         panned = apply_panning(params, eset, target="lr")
         panned_lr, _ = _split_queries(panned)
         report = compare_centroids(gallery, query, panned_lr)
+        csv_rows = ["identity,distance_before,distance_after,reduction"]
         lines.append(f"identities: {len(report.per_identity)}")
         lines.append(f"mean_reduction: {report.mean_reduction:.6f}")
         for identity, row in sorted(report.per_identity.items()):
@@ -392,33 +378,27 @@ def _cmd_centroids(args: argparse.Namespace) -> None:
                 f"{identity},{row.distance_before:.17g},"
                 f"{row.distance_after:.17g},{row.reduction:.17g}"
             )
-        csv_header = "identity,distance_before,distance_after,reduction"
     else:
         distances = centroid_distances(gallery, query)
+        csv_rows = ["identity,distance"]
         lines.append(f"identities: {len(distances)}")
         for identity, dist in sorted(distances.items()):
             lines.append(f"id{identity}: distance {dist:.6f}")
             csv_rows.append(f"{identity},{dist:.17g}")
-        csv_header = "identity,distance"
-    Path(args.out).write_text("\n".join(lines) + "\n")
-    outputs = [args.out]
-    if args.csv:
-        Path(args.csv).write_text(csv_header + "\n" + "\n".join(csv_rows) + "\n")
-        outputs.append(args.csv)
-    _write_manifest(
-        args,
-        inputs=[args.data] + ([args.params] if args.params else []),
-        outputs=outputs,
-    )
+    _write_lines(args.out, lines)
+    for path in outputs[1:]:
+        _write_lines(path, csv_rows)
     print("\n".join(lines[:8] + (["..."] if len(lines) > 8 else [])))
 
 
-def _cmd_project(args: argparse.Namespace) -> None:
+def _cmd_project(args: argparse.Namespace, outputs: list[str]) -> None:
     sets = [load_set(path, args.format) for path in args.data]
     rows = project_2d(sets, num_identities=args.ids)
-    with open(args.out, "w") as fh:
-        fh.write("identity,resolution,x,y\n")
-        for identity, resolution, x, y in rows:
-            fh.write(f"{identity},{resolution},{x:.17g},{y:.17g}\n")
-    _write_manifest(args, inputs=list(args.data), outputs=[args.out])
+    _write_lines(args.out, ["identity,resolution,x,y"] + [
+        f"{identity},{resolution},{x:.17g},{y:.17g}" for identity, resolution, x, y in rows
+    ])
     print(f"wrote {len(rows)} projected points to {args.out}")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,5 +1,8 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +177,111 @@ class TestOutputOverInput:
         err = capsys.readouterr().err
         assert err.startswith("error: output ") and "would overwrite input" in err
         assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+class TestOutputPlan:
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("gen", "--dim", "4", "--ids", "3", "--per-res", "2", "--out", "s.vpfa") == 0
+        Path("s.vpfa.manifest.json").unlink()
+        (tmp_path / "sub").mkdir()
+        return tmp_path
+
+    @staticmethod
+    def files(root):
+        return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    @pytest.mark.parametrize("argv, first, second", [
+        (("train", "--data", "s.vpfa", "--hidden", "2", "--epochs", "1", "--pairs", "8",
+          "--out", "p", "--log", "p"), "p", "p"),
+        (("eval", "--data", "s.vpfa", "--out", "r", "--csv", "sub/../r"), "r", "sub/../r"),
+        (("eval", "--data", "s.vpfa", "--out", "r", "--csv", "r.manifest.json"),
+         "r.manifest.json", "r.manifest.json"),
+        (("stats", "--data", "s.vpfa", "--out", "t.pearson.csv", "--csv-prefix", "t"),
+         "t.pearson.csv", "t.pearson.csv"),
+    ])
+    def test_two_outputs_naming_one_file_exit_1_and_write_nothing(self, workdir, capsys,
+                                                                   argv, first, second):
+        before = self.files(workdir)
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: outputs {first} and {second} name the same file\n"
+        assert self.files(workdir) == before
+
+    @pytest.mark.parametrize("argv, message", [
+        (("eval", "--data", "s.vpfa", "--out", "r.txt", "--csv", "nodir/x.csv"),
+         "output nodir/x.csv: no directory"),
+        (("train", "--data", "s.vpfa", "--hidden", "2", "--epochs", "1", "--pairs", "8",
+          "--out", "p.vpnp", "--log", "nodir/l.csv"), "output nodir/l.csv: no directory"),
+        (("stats", "--data", "s.vpfa", "--out", "r.txt", "--csv-prefix", "nodir/t"),
+         "output nodir/t.split_cosine.csv: no directory"),
+        (("eval", "--data", "s.vpfa", "--out", "s.vpfa/r.txt"), "output s.vpfa/r.txt: no directory"),
+        (("eval", "--data", "s.vpfa", "--out", "sub"), "output sub is a directory"),
+        (("centroids", "--data", "s.vpfa", "--out", "c.txt", "--csv", "sub"),
+         "output sub is a directory"),
+    ])
+    def test_unwritable_output_exits_1_and_writes_nothing(self, workdir, capsys, argv, message):
+        before = self.files(workdir)
+        assert run(*argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert self.files(workdir) == before
+
+    def test_symlink_loop_output_exits_1_without_traceback(self, workdir, capsys):
+        Path("loop").symlink_to("loop")
+        assert run("eval", "--data", "s.vpfa", "--out", "loop") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in workdir.iterdir()) == ["loop", "s.vpfa", "sub"]
+
+    @pytest.mark.parametrize("argv, inputs, outputs", [
+        (("gen", "--ids", "3", "--per-res", "2", "--out", "g.vpfa"), [], ["g.vpfa"]),
+        (("gen", "--ids", "3", "--per-res", "2", "--format", "csv", "--out", "g.csv"),
+         [], ["g.csv"]),
+        (("stats", "--data", "s.vpfa", "--pearson-ids", "3", "--out", "st.txt"),
+         ["s.vpfa"], ["st.txt"]),
+        (("stats", "--data", "s.vpfa", "--pearson-ids", "3", "--out", "st.txt",
+          "--csv-prefix", "sub/t"),
+         ["s.vpfa"], ["st.txt", "sub/t.split_cosine.csv", "sub/t.cca.csv", "sub/t.pearson.csv"]),
+        (("train", "--data", "s.vpfa", "--hidden", "2", "--epochs", "1", "--pairs", "8",
+          "--out", "p.vpnp"), ["s.vpfa"], ["p.vpnp", "p.vpnp.log.csv"]),
+        (("train", "--data", "s.vpfa", "--hidden", "2", "--epochs", "1", "--pairs", "8",
+          "--out", "p.vpnp", "--log", "sub/loss.csv"), ["s.vpfa"], ["p.vpnp", "sub/loss.csv"]),
+        (("apply", "--data", "s.vpfa", "--params", "vp.vpnp", "--out", "pan.vpfa"),
+         ["s.vpfa", "vp.vpnp"], ["pan.vpfa"]),
+        (("eval", "--data", "s.vpfa", "--out", "e.txt"), ["s.vpfa"], ["e.txt"]),
+        (("eval", "--data", "s.vpfa", "--out", "e.txt", "--csv", "ap.csv"),
+         ["s.vpfa"], ["e.txt", "ap.csv"]),
+        (("centroids", "--data", "s.vpfa", "--out", "c.txt"), ["s.vpfa"], ["c.txt"]),
+        (("centroids", "--data", "s.vpfa", "--params", "vp.vpnp", "--out", "c.txt",
+          "--csv", "c.csv"), ["s.vpfa", "vp.vpnp"], ["c.txt", "c.csv"]),
+        (("project", "--data", "s.vpfa", "--data", "a.vpfa", "--out", "xy.csv"),
+         ["a.vpfa", "s.vpfa"], ["xy.csv"]),
+    ])
+    def test_manifest_lists_every_input_and_output_in_order(self, workdir, argv, inputs,
+                                                            outputs):
+        save_params(init_params(4, 2), "vp.vpnp")
+        Path("a.vpfa").write_bytes(Path("s.vpfa").read_bytes())
+        assert run(*argv) == 0
+        manifest = json.loads(Path(f"{outputs[0]}.manifest.json").read_text())
+        assert (manifest["inputs"], manifest["outputs"]) == (inputs, outputs)
+        assert all(Path(p).is_file() for p in outputs)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("gen", "--ids", "2", "--per-res", "2", "--out", "x.vpfa"), 0),
+    (("eval", "--data", "missing.vpfa", "--out", "r.txt"), 1),
+])
+def test_python_m_runs_the_command(tmp_path, argv, code):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "vpfa.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr.startswith("error: ") and list(tmp_path.iterdir()) == []
+    else:
+        assert (tmp_path / "x.vpfa").is_file() and (tmp_path / "x.vpfa.manifest.json").is_file()
 
 
 @pytest.fixture(scope="module")
