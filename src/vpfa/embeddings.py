@@ -8,16 +8,23 @@ little-endian binary file (bit-exact round trip).
 
 Binary layout: magic ``VPFA``, u32 version, u32 dim, u64 count, then per
 record u32 identity, u16 camera, u8 resolution (0 = HR, otherwise the LR
-rate), and dim float64 components, packed; the records are read and
-written as one structured array.
+rate), and dim float64 components, packed; the records are read as one
+structured array and written in blocks through one structured buffer.
+
+A CSV set's rows are parsed and formatted in contiguous chunks, one per
+usable CPU, in forked worker processes (see ``_in_chunks``); files and
+errors are the same as with one chunk.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -29,6 +36,12 @@ BINARY_MAGIC = b"VPFA"
 BINARY_VERSION = 1
 
 _HEADER = struct.Struct("<4sIIQ")
+
+# A binary set is packed and written through one structured buffer of this many bytes.
+BINARY_BLOCK_BYTES = 1 << 22
+# CSV text per chunk, at least: a chunk's parse or format (about 36 ns a byte) must
+# outweigh the fork and the pipe that carry it to another CPU.
+CSV_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, order=True)
@@ -248,11 +261,18 @@ def _save_binary(eset: EmbeddingSet, path: Path) -> None:
         top = int(values.max(initial=0))
         if top >= limit:
             raise FormatError(f"{path}: {field} {top} exceeds the binary format's limit {limit - 1}")
-    rows = np.rec.fromarrays([eset.identity_array, eset.camera_array, eset.rate_array, eset.matrix],
-                             dtype=_record_dtype(eset.dim))
+    dtype = _record_dtype(eset.dim)
+    step = max(1, BINARY_BLOCK_BYTES // dtype.itemsize)
+    block = np.empty(min(step, len(eset)), dtype=dtype)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(BINARY_MAGIC, BINARY_VERSION, eset.dim, len(eset)))
-        fh.write(rows.data)  # the bytes of rows.tobytes(), without the copy
+        for start in range(0, len(eset), step):
+            rows = block[:min(step, len(eset) - start)]
+            rows["identity"] = eset.identity_array[start:start + step]
+            rows["camera"] = eset.camera_array[start:start + step]
+            rows["rate"] = eset.rate_array[start:start + step]
+            rows["vector"] = eset.matrix[start:start + step]
+            fh.write(rows.data)
 
 
 def _load_binary(path: Path) -> EmbeddingSet:
@@ -280,15 +300,89 @@ def _load_binary(path: Path) -> EmbeddingSet:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_chunks(work, start: int, stop: int, nbytes: int) -> list:
+    """``work(a, b)`` over contiguous ranges that split ``range(start, stop)``, in order.
+
+    There is one range per usable CPU, each with at least ``CSV_CHUNK_BYTES`` of the
+    ``nbytes`` of text on average, and one range when that allows no more or there is no
+    ``os.fork``.  Ranges after the first run in forked children, which send their result or
+    exception back through a pipe and always end with ``os._exit``; the caller runs the
+    first range, reaps every child, and raises the first failure in range order.
+    """
+    count = stop - start
+    chunks = max(1, min(_usable_cpus(), nbytes // CSV_CHUNK_BYTES, count))
+    if not hasattr(os, "fork"):
+        chunks = 1
+    bounds = [start + count * k // chunks for k in range(chunks + 1)]
+    workers = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for a, b in zip(bounds[1:-1], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:  # the child never returns into the caller's stack
+                status = 1
+                try:
+                    os.close(read_fd)
+                    try:
+                        reply = (True, work(a, b))
+                    except Exception as exc:  # re-raised by the caller, in range order
+                        reply = (False, exc)
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(reply, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            workers.append((pid, open(read_fd, "rb")))
+        results = [work(bounds[0], bounds[1])]
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:
+                reply = pipe.read()
+            workers.pop(0)
+            if os.waitpid(pid, 0)[1] != 0:
+                raise OSError(f"CSV worker process {pid} ended without a result")
+            done, value = pickle.loads(reply)  # written by our own child
+            if not done:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _save_csv(eset: EmbeddingSet, path: Path) -> None:
+    text_bytes = 20 * eset.matrix.size  # a %.17g value and its comma take about 20 characters
+    parts = _in_chunks(partial(_format_rows, eset), 0, len(eset), text_bytes)
+    with open(path, "wb") as fh:
+        fh.write(f"dim={eset.dim}\n".encode("ascii"))
+        fh.writelines(parts)
+
+
+def _format_rows(eset: EmbeddingSet, start: int, stop: int) -> bytes:
     values = ",".join(["%.17g"] * eset.dim)  # the same digits as format(v, ".17g")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"dim={eset.dim}\n")
+    return "".join(
+        f"{identity},{camera},{Resolution(rate)},{values % tuple(row)}\n"
         for identity, camera, rate, row in zip(
-            eset.identity_array.tolist(), eset.camera_array.tolist(),
-            eset.rate_array.tolist(), eset.matrix.tolist(),
-        ):
-            fh.write(f"{identity},{camera},{Resolution(rate)},{values % tuple(row)}\n")
+            eset.identity_array[start:stop].tolist(), eset.camera_array[start:stop].tolist(),
+            eset.rate_array[start:stop].tolist(), eset.matrix[start:stop].tolist(),
+        )
+    ).encode("ascii")
 
 
 def _load_csv(path: Path) -> EmbeddingSet:
@@ -304,8 +398,18 @@ def _load_csv(path: Path) -> EmbeddingSet:
         raise FormatError(f"{path}: line 1: malformed header {lines[0]!r}") from exc
     if dim < 1:
         raise FormatError(f"{path}: line 1: non-positive dimension {dim}")
+    parts = _in_chunks(partial(_parse_rows, path, lines, dim), 1, len(lines),
+                       sum(map(len, lines)))
+    del lines  # the parsed rows replace the text
+    matrices, labels = zip(*parts)
+    matrix = matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
+    return EmbeddingSet.from_arrays(matrix, *np.concatenate(labels).T, str(path))
+
+
+def _parse_rows(path: Path, lines: list[str], dim: int, start: int, stop: int):
+    """The rows of ``lines[start:stop]``: an (N, dim) matrix and N (identity, camera, rate)."""
     matrix, labels = None, []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines[start:stop], start=start + 1):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -314,7 +418,7 @@ def _load_csv(path: Path) -> EmbeddingSet:
                 f"{path}: line {lineno}: expected {3 + dim} fields, got {len(parts)}"
             )
         if matrix is None:  # sized by the text: only lines over 2 * dim characters hold a row
-            matrix = np.empty((sum(len(text) > 2 * dim for text in lines), dim))
+            matrix = np.empty((sum(len(text) > 2 * dim for text in lines[start:stop]), dim))
         try:
             identity, camera = int(parts[0]), int(parts[1])
             rate = Resolution.parse(parts[2]).rate
@@ -327,7 +431,6 @@ def _load_csv(path: Path) -> EmbeddingSet:
             raise FormatError(f"{path}: line {lineno}: identity and camera IDs must be "
                               "non-negative and below 2**63")
         labels.append((identity, camera, rate))
-    columns = np.array(labels, dtype=np.int64).reshape(-1, 3).T
     matrix = np.empty((0, dim)) if matrix is None else matrix
     matrix.resize((len(labels), dim))  # in place, so the set keeps it without a copy
-    return EmbeddingSet.from_arrays(matrix, *columns, str(path))
+    return matrix, np.array(labels, dtype=np.int64).reshape(-1, 3)

@@ -16,6 +16,7 @@ makes the network an exact identity.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -307,23 +308,26 @@ def save_params(params: VPParams, path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> VPParams:
-    data = Path(path).read_bytes()
     head = struct.Struct("<4sIII")
-    if len(data) < head.size:
-        raise FormatError(f"{path}: file too short for a parameter header")
-    magic, version, dim, hidden = head.unpack_from(data, 0)
-    if magic != PARAMS_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, not a parameter file")
-    if version != PARAMS_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if dim < 1 or hidden < 1:
-        raise FormatError(f"{path}: non-positive dimensions dim={dim} hidden={hidden}")
-    expected = head.size + 8 * parameter_count(dim, hidden)
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: size mismatch, expected {expected} bytes for dim={dim} hidden={hidden}"
-        )
-    flat = np.frombuffer(data, "<f8", offset=head.size).astype(np.float64)
+    with open(path, "rb") as fh:
+        data = fh.read(head.size)
+        if len(data) < head.size:
+            raise FormatError(f"{path}: file too short for a parameter header")
+        magic, version, dim, hidden = head.unpack(data)
+        if magic != PARAMS_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, not a parameter file")
+        if version != PARAMS_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if dim < 1 or hidden < 1:
+            raise FormatError(f"{path}: non-positive dimensions dim={dim} hidden={hidden}")
+        count = parameter_count(dim, hidden)
+        expected = head.size + 8 * count
+        if os.fstat(fh.fileno()).st_size != expected:
+            raise FormatError(
+                f"{path}: size mismatch, expected {expected} bytes for dim={dim} hidden={hidden}"
+            )
+        # the body straight into the parameter vector (astype copies only on big-endian hosts)
+        flat = np.fromfile(fh, "<f8", count=count).astype(np.float64, copy=False)
     if not np.isfinite(flat).all():
         raise FormatError(f"{path}: non-finite parameter values")
     return VPParams(dim, hidden, flat)

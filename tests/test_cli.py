@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import shutil
 import struct
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vpfa import embeddings
 from vpfa.cli import dispatch
 from vpfa.embeddings import EmbeddingSet, load_set
 from vpfa.synthgen import SynthConfig, generate
@@ -455,3 +458,89 @@ def test_no_command_builds_records(tmp_path, monkeypatch):
     ):
         assert run(*argv) == 0, argv
     assert all(Path(p).exists() for p in paths.values())
+
+
+def _corruptions(data: bytes, name: str, rng: random.Random, cases: int = 10):
+    """Seeded truncations, byte flips and header rewrites of one file's bytes."""
+    for _ in range(cases):
+        yield data[:rng.randrange(len(data))]
+    for _ in range(cases):
+        raw = bytearray(data)
+        for _ in range(rng.randint(1, 3)):
+            raw[rng.randrange(len(raw))] ^= rng.randrange(1, 256)
+        yield bytes(raw)
+    for _ in range(cases):
+        if name.endswith(".csv"):
+            header = rng.choice(["dim=0", "dim=-4", f"dim={rng.randrange(1, 12)}", "dim=x", "",
+                                 f"dim={10 ** rng.randrange(3, 25)}", "dim 6", "DIM=6"])
+            yield header.encode() + data[data.index(b"\n"):]
+        else:
+            layout = "<4sIIQ" if name.endswith(".vpfa") else "<4sIII"
+            fields = list(struct.unpack_from(layout, data))
+            choices = ([b"VPFA", b"VPNP", b"\0" * 4], [0, 2], [0, 1, 5, 7, 2**32 - 1],
+                       [0, 1, fields[3] + 1, 2 ** (8 * struct.calcsize(layout[-1])) - 1])
+            for i, options in enumerate(choices):
+                if rng.random() < 0.5:
+                    fields[i] = rng.choice(options)
+            yield struct.pack(layout, *fields) + data[struct.calcsize(layout):]
+
+
+class TestCorruptInputSweep:
+    """Every corrupted input ends in exit 0 with all outputs, or in exit 1 with one
+    ``error:`` line and no output or manifest; a CSV one the same on 3 forced chunks."""
+
+    @pytest.fixture(scope="class")
+    def sources(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("sources")
+        gen = ("gen", "--dim", "6", "--ids", "4", "--per-res", "3", "--seed", "1")
+        assert run(*gen, "--out", str(root / "s.vpfa")) == 0
+        assert run(*gen, "--format", "csv", "--out", str(root / "s.csv")) == 0
+        assert run("train", "--data", str(root / "s.vpfa"), "--hidden", "4", "--epochs", "2",
+                   "--pairs", "16", "--out", str(root / "p.vpnp")) == 0
+        return root
+
+    @staticmethod
+    def outcome(argv, out_dir, outputs, capsys):
+        shutil.rmtree(out_dir, ignore_errors=True)
+        out_dir.mkdir()
+        code = run(*argv)
+        err = capsys.readouterr().err
+        written = sorted(p.name for p in out_dir.iterdir())
+        if code == 0:
+            assert written == sorted([*outputs, f"{outputs[0]}.manifest.json"]), argv
+        else:
+            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert "Traceback" not in err and written == [], (argv, err)
+        return code, err, {name: (out_dir / name).read_bytes() for name in written}
+
+    @pytest.mark.parametrize("name", ["s.vpfa", "s.csv", "p.vpnp"])
+    def test_sweep(self, sources, tmp_path, capsys, monkeypatch, name):
+        rng = random.Random(f"sweep {name}")
+        out = tmp_path / "out"
+        codes = set()
+        for case, data in enumerate(_corruptions((sources / name).read_bytes(), name, rng)):
+            bad = tmp_path / f"bad{case}{Path(name).suffix}"
+            bad.write_bytes(data)
+            if name == "p.vpnp":
+                commands = [(("apply", "--data", str(sources / "s.vpfa"), "--params", str(bad),
+                              "--out", str(out / "o.vpfa")), ["o.vpfa"]),
+                            (("centroids", "--data", str(sources / "s.vpfa"), "--params", str(bad),
+                              "--out", str(out / "c.txt")), ["c.txt"])]
+            else:
+                fmt = ("--format", "csv" if name.endswith(".csv") else "bin")
+                commands = [(("eval", "--data", str(bad), *fmt, "--out", str(out / "r.txt")),
+                             ["r.txt"]),
+                            (("apply", "--data", str(bad), *fmt, "--params",
+                              str(sources / "p.vpnp"), "--out", str(out / f"o{bad.suffix}")),
+                             [f"o{bad.suffix}"])]
+            for argv, outputs in commands:
+                serial = self.outcome(argv, out, outputs, capsys)
+                codes.add(serial[0])
+                if name.endswith(".csv"):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(embeddings, "CSV_CHUNK_BYTES", 1)
+                        patch.setattr(embeddings, "_usable_cpus", lambda: 3)
+                        assert self.outcome(argv, out, outputs, capsys) == serial, argv
+                    with pytest.raises(ChildProcessError):
+                        os.waitpid(-1, os.WNOHANG)
+        assert codes == {0, 1}

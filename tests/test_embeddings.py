@@ -1,8 +1,10 @@
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from vpfa import embeddings
 from vpfa.embeddings import (
     EmbeddingRecord,
     EmbeddingSet,
@@ -162,6 +164,144 @@ class TestCsvFormat:
         assert_sets_equal(load_set(path, "csv"), s)
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls of ``os.fork``, counted."""
+    calls = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real_fork())
+    return calls
+
+
+def force_chunks(monkeypatch, chunks):
+    monkeypatch.setattr(embeddings, "CSV_CHUNK_BYTES", 1)
+    monkeypatch.setattr(embeddings, "_usable_cpus", lambda: chunks)
+
+
+def csv_text(dim=3, rows=12, seed=5):
+    s = make_set(num=rows, dim=dim, seed=seed)
+    return "".join(f"{r.identity},{r.camera},{r.resolution},"
+                   + ",".join(format(v, ".17g") for v in r.vector) + "\n" for r in s.records)
+
+
+class TestParallelCsv:
+    """Twelve data lines (file lines 2-13) split into 2 chunks (lines 2-7, 8-13) or
+    3 chunks (lines 2-5, 6-9, 10-13)."""
+
+    @pytest.mark.parametrize("chunks", [2, 3])
+    def test_save_and_load_equal_the_serial_path(self, tmp_path, forks, monkeypatch, chunks):
+        s = make_set(num=13, dim=4, seed=8)
+        save_set(s, tmp_path / "serial.csv", "csv")
+        serial = load_set(tmp_path / "serial.csv", "csv")
+        assert not forks
+        force_chunks(monkeypatch, chunks)
+        save_set(s, tmp_path / "parallel.csv", "csv")
+        assert (tmp_path / "parallel.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+        assert_columns_equal(load_set(tmp_path / "parallel.csv", "csv"), serial)
+        assert len(forks) == 2 * (chunks - 1)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("bad_lines", [[3], [7], [12], [13], [7, 12], [3, 12], [6, 7]])
+    @pytest.mark.parametrize("fault", [
+        lambda line: line.replace(",", ",NaN,", 1).rsplit(",", 1)[0],  # non-finite value
+        lambda line: line + ",0",  # one field too many
+        lambda line: line.replace("HR", "MR").replace("LRx", "XRx"),  # unknown tag
+        lambda line: "-1" + line,  # negative identity
+    ])
+    @pytest.mark.parametrize("chunks", [2, 3])
+    def test_the_first_bad_line_gives_the_serial_error(self, tmp_path, forks, monkeypatch,
+                                                       chunks, bad_lines, fault):
+        lines = ["dim=3", *csv_text().splitlines(), ""]
+        for lineno in bad_lines:
+            lines[lineno - 1] = fault(lines[lineno - 1])
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(lines))
+        with pytest.raises(FormatError) as serial:
+            load_set(path, "csv")
+        assert f"line {bad_lines[0]}:" in str(serial.value)
+        force_chunks(monkeypatch, chunks)
+        with pytest.raises(FormatError) as parallel:
+            load_set(path, "csv")
+        assert str(parallel.value) == str(serial.value)
+        assert len(forks) == chunks - 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("dim", [10**12, 10**30])
+    def test_every_chunk_checks_fields_before_sizing_by_the_header(self, tmp_path, forks,
+                                                                   monkeypatch, dim):
+        path = tmp_path / "s.csv"
+        path.write_text(f"dim={dim}\n" + "0,0,HR,1,2\n" * 12)
+        force_chunks(monkeypatch, 3)
+        with pytest.raises(FormatError, match=rf"s\.csv: line 2: expected {dim + 3} fields"):
+            load_set(path, "csv")
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_blank_lines_and_an_empty_chunk(self, tmp_path, forks, monkeypatch):
+        path = tmp_path / "s.csv"
+        path.write_text("dim=2\n\n\n  \n\n0,0,HR,1,2\n\n1,1,LRx2,3,4\n")
+        force_chunks(monkeypatch, 3)
+        s = load_set(path, "csv")
+        np.testing.assert_array_equal(s.matrix, [[1.0, 2.0], [3.0, 4.0]])
+        assert s.identity_array.tolist() == [0, 1] and s.rate_array.tolist() == [0, 2]
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_serial_on_one_cpu_on_a_small_file_and_without_fork(self, tmp_path, forks,
+                                                                monkeypatch):
+        path = tmp_path / "s.csv"
+        save_set(make_set(num=12, dim=3), path, "csv")
+        load_set(path, "csv")  # below CSV_CHUNK_BYTES
+        monkeypatch.setattr(embeddings, "CSV_CHUNK_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        load_set(path, "csv")  # one usable CPU
+        assert not forks
+        force_chunks(monkeypatch, 3)
+        monkeypatch.delattr(os, "fork")
+        expected = path.read_bytes()
+        save_set(load_set(path, "csv"), path, "csv")
+        assert path.read_bytes() == expected
+
+    def test_a_worker_that_dies_is_an_error(self, tmp_path, forks, monkeypatch):
+        path = tmp_path / "s.csv"
+        save_set(make_set(num=12, dim=3), path, "csv")
+        force_chunks(monkeypatch, 2)
+        real_parse = embeddings._parse_rows
+        parent = os.getpid()
+
+        def parse(path, lines, dim, start, stop):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real_parse(path, lines, dim, start, stop)
+
+        monkeypatch.setattr(embeddings, "_parse_rows", parse)
+        with pytest.raises(OSError, match="ended without a result"):
+            load_set(path, "csv")
+        assert_no_child_left()
+
+    def test_a_caller_failure_reaps_every_worker(self, tmp_path, forks, monkeypatch):
+        path = tmp_path / "s.csv"
+        save_set(make_set(num=12, dim=3), path, "csv")
+        force_chunks(monkeypatch, 3)
+        real_parse = embeddings._parse_rows
+        parent = os.getpid()
+
+        def parse(path, lines, dim, start, stop):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real_parse(path, lines, dim, start, stop)
+
+        monkeypatch.setattr(embeddings, "_parse_rows", parse)
+        with pytest.raises(KeyboardInterrupt):
+            load_set(path, "csv")
+        assert_no_child_left()
+
+
 class TestBinaryFormat:
     def test_round_trip_bitwise(self, tmp_path):
         s = make_set(num=100, dim=8, seed=1)
@@ -220,6 +360,18 @@ class TestBinaryFormat:
         assert_columns_equal(loaded, s)
         save_set(loaded, tmp_path / "again.vpfa", "bin")
         assert (tmp_path / "again.vpfa").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 99, 100, 1000])
+    def test_blocked_writer_equals_one_structured_array(self, tmp_path, monkeypatch, block_rows):
+        s = make_set(num=100, dim=3, seed=7)
+        itemsize = 7 + 8 * 3
+        monkeypatch.setattr(embeddings, "BINARY_BLOCK_BYTES", block_rows * itemsize + itemsize - 1)
+        save_set(s, tmp_path / "s.vpfa", "bin")
+        rows = np.rec.fromarrays([s.identity_array, s.camera_array, s.rate_array, s.matrix],
+                                 dtype=[("identity", "<u4"), ("camera", "<u2"), ("rate", "u1"),
+                                        ("vector", "<f8", (3,))])
+        header = struct.pack("<4sIIQ", b"VPFA", 1, 3, 100)
+        assert (tmp_path / "s.vpfa").read_bytes() == header + rows.tobytes()
 
     @pytest.mark.parametrize("k", [0, 3, 5])
     def test_rate_one_reported_at_its_record(self, tmp_path, k):
