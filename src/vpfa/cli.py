@@ -47,8 +47,8 @@ def dispatch(argv: list[str]) -> int:
         _check_outputs(inputs, outputs)
         args.handler(args, outputs)
         _write_manifest(args, inputs, outputs)
-    except (VpfaError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (VpfaError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -26,7 +26,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,40 +69,32 @@ class Resolution:
 
     @classmethod
     def parse(cls, text: str) -> "Resolution":
-        text = text.strip()
-        if text == "HR":
-            return cls(0)
-        if text.startswith("LRx"):
-            try:
-                return cls(int(text[3:]))
-            except ValueError:
-                pass
-        raise ValueError(f"unknown resolution tag {text!r}")
+        """The resolution of a tag as ``str`` writes it, surrounding whitespace aside."""
+        return cls(_tag_rate(text))
 
 
 HR = Resolution(0)
 
+# Every tag ``str(Resolution)`` writes, and its rate: HR, LRx2 ... LRx255.
+_TAG_RATES = {str(Resolution(rate)): rate for rate in (0, *range(2, 256))}
+
+
+def _tag_rate(text: str) -> int:
+    tag = text.strip()
+    if tag not in _TAG_RATES:
+        raise ValueError(f"unknown resolution tag {tag!r}")
+    return _TAG_RATES[tag]
+
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingRecord:
-    """One labeled vector.  Records are equal when every field, and every
-    byte of the vector, is equal."""
+    """One row of a set, as :attr:`EmbeddingSet.records` lists it.  Records are
+    equal when every field, and every byte of the vector, is equal."""
 
     identity: int
     camera: int
     resolution: Resolution
-    vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.identity < 0 or self.camera < 0:
-            raise ValueError("identity and camera IDs must be non-negative")
-        vec = np.asarray(self.vector, dtype=np.float64)
-        if vec.ndim != 1:
-            raise ValueError("record vector must be one-dimensional")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("record vector contains non-finite values")
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
+    vector: np.ndarray  # a read-only row of the set's matrix
 
     def _key(self) -> tuple:
         return self.identity, self.camera, self.resolution, self.vector.tobytes()
@@ -119,32 +111,11 @@ class EmbeddingSet:
 
     Stored as four read-only arrays of N rows: ``matrix`` (N x dim float64),
     ``identity_array``, ``camera_array`` (int64) and ``rate_array`` (uint8,
-    0 = HR, else the LR rate); ``records`` is a view built on first use.
+    0 = HR, else the LR rate).  An argument that owns its data in the stored
+    dtype is kept and made read-only; any other argument is copied.
     """
 
-    def __init__(
-        self, dim: int, records: Iterable[EmbeddingRecord] = (), source_label: str = ""
-    ) -> None:
-        if dim < 1:
-            raise ValueError(f"dim must be positive, got {dim}")
-        records = tuple(records)
-        for i, rec in enumerate(records):
-            if rec.vector.shape[0] != dim:
-                raise ValueError(f"record {i} has dimension {rec.vector.shape[0]}, expected {dim}")
-        self._set_arrays(np.array([r.vector for r in records]) if records else np.empty((0, dim)),
-                         [r.identity for r in records], [r.camera for r in records],
-                         [r.resolution.rate for r in records], source_label)
-
-    @classmethod
-    def from_arrays(cls, matrix, identity, camera, rate, source_label: str = "") -> "EmbeddingSet":
-        """A set over an (N, dim) matrix and N identities, cameras and rates.  An
-        array that owns its data in the stored dtype is kept and made read-only;
-        any other argument is copied."""
-        eset = cls.__new__(cls)
-        eset._set_arrays(matrix, identity, camera, rate, source_label)
-        return eset
-
-    def _set_arrays(self, matrix, identity, camera, rate, source_label: str) -> None:
+    def __init__(self, matrix, identity, camera, rate, source_label: str = "") -> None:
         matrix, identity, camera = (
             _column(matrix, np.float64), _column(identity, np.int64), _column(camera, np.int64))
         rate = np.asarray(rate)
@@ -169,26 +140,19 @@ class EmbeddingSet:
     def __len__(self) -> int:
         return self.matrix.shape[0]
 
-    def __iter__(self):
-        return iter(self.records)
-
     @cached_property
     def records(self) -> tuple[EmbeddingRecord, ...]:
-        """One record per row, in order; vectors are read-only rows of ``matrix``."""
+        """A read-only view: one record per row, in order, built on first use;
+        vectors are read-only rows of ``matrix``."""
         tags = {rate: Resolution(rate) for rate in np.unique(self.rate_array).tolist()}  # shared
         return tuple(map(EmbeddingRecord, self.identity_array.tolist(), self.camera_array.tolist(),
                          map(tags.__getitem__, self.rate_array.tolist()), self.matrix))
 
-    def partition(self, keep) -> "EmbeddingSet":
-        """New set of the rows where ``keep`` holds, order preserved.  ``keep``
-        is a boolean mask of length N, or a predicate called on each record."""
-        if callable(keep):
-            keep = np.array([bool(keep(r)) for r in self.records], dtype=bool)
-        keep = self._mask(keep, "partition needs a predicate or")
-        return EmbeddingSet.from_arrays(
-            self.matrix[keep], self.identity_array[keep], self.camera_array[keep],
-            self.rate_array[keep], self.source_label,
-        )
+    def partition(self, mask) -> "EmbeddingSet":
+        """New set of the rows where the boolean ``mask`` of length N holds, order preserved."""
+        keep = self._mask(mask, "partition needs")
+        return EmbeddingSet(self.matrix[keep], self.identity_array[keep], self.camera_array[keep],
+                            self.rate_array[keep], self.source_label)
 
     def identities(self) -> list[int]:
         """Sorted unique identity IDs."""
@@ -294,7 +258,7 @@ def _load_binary(path: Path) -> EmbeddingSet:
         )
     rows = np.frombuffer(data, dtype=dtype, count=count, offset=_HEADER.size)
     try:  # the set copies each field out of the file's bytes
-        return EmbeddingSet.from_arrays(
+        return EmbeddingSet(
             rows["vector"], rows["identity"], rows["camera"], rows["rate"], str(path))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
@@ -403,7 +367,7 @@ def _load_csv(path: Path) -> EmbeddingSet:
     del lines  # the parsed rows replace the text
     matrices, labels = zip(*parts)
     matrix = matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
-    return EmbeddingSet.from_arrays(matrix, *np.concatenate(labels).T, str(path))
+    return EmbeddingSet(matrix, *np.concatenate(labels).T, str(path))
 
 
 def _parse_rows(path: Path, lines: list[str], dim: int, start: int, stop: int):
@@ -421,7 +385,7 @@ def _parse_rows(path: Path, lines: list[str], dim: int, start: int, stop: int):
             matrix = np.empty((sum(len(text) > 2 * dim for text in lines[start:stop]), dim))
         try:
             identity, camera = int(parts[0]), int(parts[1])
-            rate = Resolution.parse(parts[2]).rate
+            rate = _tag_rate(parts[2])
             matrix[len(labels)] = [float(v) for v in parts[3:]]
         except ValueError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from exc

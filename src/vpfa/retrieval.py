@@ -65,7 +65,7 @@ def apply_panning(
     if selected.any():
         out[selected], _ = forward(params, eset.matrix[selected])
     # The set rejects non-finite rows, so a network that overflows fails here.
-    return EmbeddingSet.from_arrays(
+    return EmbeddingSet(
         out, eset.identity_array, eset.camera_array, eset.rate_array, eset.source_label
     )
 
@@ -207,8 +207,10 @@ def project_2d(
     Components come from the eigendecomposition of the pooled covariance;
     each component's sign is fixed so its first loading above 1e-12 in
     magnitude is positive.  Rows are (identity, resolution, x, y) in pooled
-    record order.
+    record order.  ``num_identities`` keeps the first N sorted identities.
     """
+    if num_identities is not None and num_identities < 1:
+        raise ValueError(f"num_identities must be at least 1, got {num_identities}")
     ids, rates, x = (np.concatenate([getattr(s, name) for s in sets])
                      for name in ("identity_array", "rate_array", "matrix"))
     if num_identities is not None:

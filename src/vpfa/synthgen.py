@@ -84,7 +84,7 @@ def generate(cfg: SynthConfig) -> EmbeddingSet:
             noise = rng.standard_normal((n, 2, dim))  # per sample: base noise, shift noise
             base = prototype + cfg.sample_noise * noise[:, 0]
             blocks[k] = base - shift + cfg.shift_noise * noise[:, 1]
-    return EmbeddingSet.from_arrays(
+    return EmbeddingSet(
         matrix,
         np.repeat(np.arange(cfg.num_identities), len(rates) * n),
         np.tile(np.arange(n) % cfg.cameras, cfg.num_identities * len(rates)),

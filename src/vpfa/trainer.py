@@ -22,13 +22,6 @@ from .vpnet import ForwardTrace, NetConfig, VPParams, backward, forward, init_fr
 
 
 @dataclass(frozen=True)
-class PrototypePair:
-    identity: int
-    lr_mean: np.ndarray
-    hr_mean: np.ndarray
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 120
     learning_rate: float = 2e-4
@@ -67,69 +60,60 @@ def _lr_mask(eset: EmbeddingSet, rates: list[int] | None) -> np.ndarray:
 
 def build_prototype_pairs(
     eset: EmbeddingSet, rates: list[int] | None = None
-) -> tuple[list[PrototypePair], int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Mean-feature pairs for identities with >= 2 HR and >= 2 LR samples.
 
     LR samples are pooled across ``rates`` (all LR rates when None).
-    Returns the pairs in sorted identity order plus the count of skipped
-    identities.
+    Returns the paired identities in sorted order, their (K, dim) LR and HR
+    means, and the count of skipped identities.
     """
     hr = eset.rows_by_identity(eset.rate_array == 0)
     lr = eset.rows_by_identity(_lr_mask(eset, rates))
-    pairs = []
-    skipped = 0
-    for identity in sorted(set(hr) | set(lr)):
-        hs = hr.get(identity, ())
-        ls = lr.get(identity, ())
-        if len(hs) >= 2 and len(ls) >= 2:
-            pairs.append(PrototypePair(
-                identity, eset.matrix[ls].mean(axis=0), eset.matrix[hs].mean(axis=0)))
-        else:
-            skipped += 1
-    if not pairs:
+    seen = sorted(set(hr) | set(lr))
+    paired = [i for i in seen if len(hr.get(i, ())) >= 2 and len(lr.get(i, ())) >= 2]
+    if not paired:
         raise DataError("no identity has two samples at both resolutions")
-    return pairs, skipped
+    lr_means, hr_means = (np.array([eset.matrix[rows[i]].mean(axis=0) for i in paired])
+                          for rows in (lr, hr))
+    return np.array(paired, dtype=np.int64), lr_means, hr_means, len(seen) - len(paired)
 
 
 def sample_training_pairs(
-    pairs: list[PrototypePair],
+    identities: np.ndarray,
     eset: EmbeddingSet,
     cfg: TrainConfig,
     rates: list[int] | None = None,
-) -> list[PrototypePair]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw ``cfg.num_pairs`` bootstrap prototype pairs with identity cycling.
 
     The identity list is reshuffled (seeded) every full pass, so draw counts
     per identity differ by at most one.  Each draw recomputes both means
     over a random subset of ceil(bootstrap_fraction * count) samples
-    (minimum 2), making repeated draws of an identity distinct.
+    (minimum 2), making repeated draws of an identity distinct.  Returns the
+    drawn identities and their (num_pairs, dim) LR and HR means, in draw order.
     """
-    if not pairs:
+    if not len(identities):
         raise DataError("no prototype pairs to sample from")
     hr = eset.rows_by_identity(eset.rate_array == 0)
     lr = eset.rows_by_identity(_lr_mask(eset, rates))
-    hr_mats = {p.identity: eset.matrix[hr[p.identity]] for p in pairs}
-    lr_mats = {p.identity: eset.matrix[lr[p.identity]] for p in pairs}
-
+    drawn = np.empty(cfg.num_pairs, dtype=np.int64)
+    z_lr, z_hr = np.empty((2, cfg.num_pairs, eset.dim))
     rng = np.random.default_rng(cfg.seed)
-    ids = np.array([p.identity for p in pairs])
-    out: list[PrototypePair] = []
-    while len(out) < cfg.num_pairs:
-        for identity in rng.permutation(ids):
-            if len(out) == cfg.num_pairs:
+    k = 0
+    while k < cfg.num_pairs:
+        for identity in rng.permutation(identities):
+            if k == cfg.num_pairs:
                 break
-            hs = hr_mats[identity]
-            ls = lr_mats[identity]
-            n_h = max(2, math.ceil(cfg.bootstrap_fraction * hs.shape[0]))
-            n_l = max(2, math.ceil(cfg.bootstrap_fraction * ls.shape[0]))
-            pick_h = rng.choice(hs.shape[0], size=n_h, replace=False)
-            pick_l = rng.choice(ls.shape[0], size=n_l, replace=False)
-            out.append(
-                PrototypePair(
-                    int(identity), ls[pick_l].mean(axis=0), hs[pick_h].mean(axis=0)
-                )
-            )
-    return out
+            hs, ls = hr[identity], lr[identity]
+            n_h = max(2, math.ceil(cfg.bootstrap_fraction * hs.size))
+            n_l = max(2, math.ceil(cfg.bootstrap_fraction * ls.size))
+            pick_h = rng.choice(hs.size, size=n_h, replace=False)
+            pick_l = rng.choice(ls.size, size=n_l, replace=False)
+            drawn[k] = identity
+            z_lr[k] = eset.matrix[ls[pick_l]].mean(axis=0)
+            z_hr[k] = eset.matrix[hs[pick_h]].mean(axis=0)
+            k += 1
+    return drawn, z_lr, z_hr
 
 
 def vpl_loss(zhat: np.ndarray, z_hr: np.ndarray) -> tuple[float, np.ndarray]:
@@ -232,10 +216,8 @@ def train(
     if net_cfg.dim != eset.dim:
         raise ValueError(f"network dim {net_cfg.dim} != data dim {eset.dim}")
     start = time.perf_counter()
-    pairs, _ = build_prototype_pairs(eset, rates)
-    sampled = sample_training_pairs(pairs, eset, cfg, rates)
-    z_lr = np.stack([p.lr_mean for p in sampled])
-    z_hr = np.stack([p.hr_mean for p in sampled])
+    identities, *_ = build_prototype_pairs(eset, rates)
+    _, z_lr, z_hr = sample_training_pairs(identities, eset, cfg, rates)
 
     params = init_from_config(net_cfg)
     theta, grads = {"theta": params.flat}, {"theta": np.empty_like(params.flat)}

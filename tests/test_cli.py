@@ -147,6 +147,22 @@ class TestErrorPaths:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("exc, shown", [
+        (MemoryError("Unable to allocate 37.3 GiB for an array with shape (5000000, 1000)"),
+         "Unable to allocate 37.3 GiB for an array with shape (5000000, 1000)"),
+        (MemoryError(), "MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_exits_1_without_output(self, tmp_path, capsys, monkeypatch, exc, shown):
+        def generate(cfg):  # as numpy does when an allocation fails; none is made for real
+            raise exc
+
+        monkeypatch.setattr("vpfa.cli.generate", generate)
+        assert run("gen", "--dim", "1000", "--ids", "5000000",
+                   "--out", str(tmp_path / "g.vpfa")) == 1
+        assert capsys.readouterr().err == f"error: {shown}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestOutputOverInput:
     @pytest.mark.parametrize("argv", [
         ("eval", "--data", "{set}", "--out", "{set}"),
@@ -433,6 +449,15 @@ class TestCentroidsAndProject:
         assert run("project", "--data", str(synth_file), "--data",
                    str(synth_file), "--ids", "4", "--out", str(out)) == 0
         assert len(out.read_text().splitlines()) == 1 + 2 * 4 * 12
+
+
+    @pytest.mark.parametrize("ids", ["0", "-1"])
+    def test_project_identity_count_below_one_exits_1_without_output(self, synth_file, tmp_path,
+                                                                     capsys, ids):
+        out = tmp_path / "proj.csv"
+        assert run("project", "--data", str(synth_file), "--ids", ids, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: num_identities must be at least 1, got {ids}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_no_command_builds_records(tmp_path, monkeypatch):

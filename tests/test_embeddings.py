@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 from vpfa import embeddings
 from vpfa.embeddings import (
-    EmbeddingRecord,
     EmbeddingSet,
     Resolution,
     half_split_identities,
@@ -19,24 +19,21 @@ HEADER_BYTES = 20  # magic, version, dim, count
 
 
 def make_set(num=6, dim=4, seed=0):
-    rng = np.random.default_rng(seed)
-    records = []
-    for i in range(num):
-        res = Resolution(0) if i % 2 == 0 else Resolution(2 + i % 3)
-        records.append(
-            EmbeddingRecord(i // 2, i % 3, res, rng.standard_normal(dim))
-        )
-    return EmbeddingSet(dim, records, source_label="test")
+    """Identities 0, 0, 1, 1, ...; cameras cycle 0-2; even rows HR, odd rows LRx(2 + i % 3)."""
+    i = np.arange(num)
+    return EmbeddingSet(np.random.default_rng(seed).standard_normal((num, dim)), i // 2, i % 3,
+                        np.where(i % 2 == 0, 0, 2 + i % 3), source_label="test")
 
 
-def assert_sets_equal(a, b):
+def one_row(identity, camera, rate, vector):
+    return EmbeddingSet(np.array([vector], dtype=float), [identity], [camera], [rate])
+
+
+def assert_columns_equal(a, b):
     assert a.dim == b.dim
-    assert len(a) == len(b)
-    for ra, rb in zip(a.records, b.records):
-        assert ra.identity == rb.identity
-        assert ra.camera == rb.camera
-        assert ra.resolution == rb.resolution
-        assert ra.vector.tobytes() == rb.vector.tobytes()
+    for name in ("matrix", "identity_array", "camera_array", "rate_array"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
 
 class TestResolution:
@@ -45,32 +42,36 @@ class TestResolution:
         assert str(Resolution(4)) == "LRx4"
         assert Resolution.parse("HR") == Resolution(0)
         assert Resolution.parse("LRx7") == Resolution(7)
+        for rate in (0, *range(2, 256)):  # every tag the writer emits, padded or not
+            assert Resolution.parse(str(Resolution(rate))) == Resolution(rate)
+            assert Resolution.parse(f" {Resolution(rate)}\t") == Resolution(rate)
 
     def test_rate_below_two_rejected(self):
         with pytest.raises(ValueError):
             Resolution(1)
 
-    def test_unknown_tag_rejected(self):
-        with pytest.raises(ValueError):
-            Resolution.parse("SD")
+    @pytest.mark.parametrize("tag", ["SD", "hr", "LRx", "LRx0", "LRx1", "LRx02", "LRx+2",
+                                     "LRx1_0", "LRx 2", "LRx2.0", "LRx-2", "LRx256"])
+    def test_unknown_tag_rejected(self, tag):
+        with pytest.raises(ValueError, match="unknown resolution tag"):
+            Resolution.parse(tag)
 
 
 class TestRecordInvariants:
     def test_non_finite_vector_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            EmbeddingRecord(0, 0, Resolution(0), np.array([1.0, np.nan]))
+            one_row(0, 0, 0, [1.0, np.nan])
 
     def test_negative_ids_rejected(self):
-        with pytest.raises(ValueError):
-            EmbeddingRecord(-1, 0, Resolution(0), np.ones(2))
+        with pytest.raises(ValueError, match="non-negative"):
+            one_row(-1, 0, 0, np.ones(2))
 
     def test_dimension_checked_by_set(self):
-        rec = EmbeddingRecord(0, 0, Resolution(0), np.ones(3))
-        with pytest.raises(ValueError, match="dimension"):
-            EmbeddingSet(4, [rec])
+        with pytest.raises(ValueError, match=r"\(N, dim\)"):
+            EmbeddingSet(np.ones(3), [0], [0], [0])
 
     def test_vectors_are_read_only(self):
-        rec = EmbeddingRecord(0, 0, Resolution(0), np.ones(3))
+        rec = one_row(0, 0, 0, np.ones(3)).records[0]
         with pytest.raises(ValueError):
             rec.vector[0] = 2.0
 
@@ -109,6 +110,20 @@ class TestCsvFormat:
         with pytest.raises(FormatError, match="resolution"):
             load_set(path, "csv")
 
+    @pytest.mark.parametrize("tag", ["LRx0", "LRx1", "LRx02", "LRx+2", "LRx1_0", "LRx 2",
+                                     "LRx256", "lrx2", "HR2"])
+    def test_only_the_tags_the_writer_emits_load(self, tmp_path, tag):
+        path = tmp_path / "s.csv"
+        path.write_text(f"dim=2\n0,0,LRx2,1,2\n1,1,{tag},3,4\n")
+        message = rf"s\.csv: line 3: unknown resolution tag '{re.escape(tag)}'$"
+        with pytest.raises(FormatError, match=message):
+            load_set(path, "csv")
+
+    def test_tags_padded_with_whitespace_load(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("dim=2\n0,0, HR ,1,2\n1,1,\tLRx12,3,4\n")
+        assert load_set(path, "csv").rate_array.tolist() == [0, 12]
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("0,0,HR,1,2\n")
@@ -117,15 +132,15 @@ class TestCsvFormat:
 
     def test_round_trip_is_lossless(self, tmp_path):
         vec = np.array([0.1, -3.5e-8])
-        s = EmbeddingSet(2, [EmbeddingRecord(0, 0, Resolution(0), vec)])
+        s = one_row(0, 0, 0, vec)
         path = tmp_path / "s.csv"
         save_set(s, path, "csv")
         reloaded = load_set(path, "csv")
-        assert reloaded.records[0].vector.tobytes() == vec.tobytes()
+        assert reloaded.matrix[0].tobytes() == vec.tobytes()
 
     def test_values_written_as_format_17g(self, tmp_path):
         values = [-0.0, 5e-324, np.finfo(float).max, 0.1, 1 / 3]
-        s = EmbeddingSet(5, [EmbeddingRecord(3, 1, Resolution(2), np.array(values))])
+        s = one_row(3, 1, 2, values)
         path = tmp_path / "s.csv"
         save_set(s, path, "csv")
         expected = ",".join(format(v, ".17g") for v in values)
@@ -161,7 +176,7 @@ class TestCsvFormat:
         s = make_set(num=20, dim=6, seed=3)
         path = tmp_path / "s.csv"
         save_set(s, path, "csv")
-        assert_sets_equal(load_set(path, "csv"), s)
+        assert_columns_equal(load_set(path, "csv"), s)
 
 
 def assert_no_child_left():
@@ -307,7 +322,7 @@ class TestBinaryFormat:
         s = make_set(num=100, dim=8, seed=1)
         path = tmp_path / "s.vpfa"
         save_set(s, path, "bin")
-        assert_sets_equal(load_set(path, "bin"), s)
+        assert_columns_equal(load_set(path, "bin"), s)
 
     def test_save_is_deterministic(self, tmp_path):
         s = make_set(num=10, dim=4, seed=2)
@@ -344,7 +359,7 @@ class TestBinaryFormat:
     def test_ids_beyond_record_fields_rejected_before_writing(
         self, tmp_path, identity, camera, field
     ):
-        s = EmbeddingSet(2, [EmbeddingRecord(identity, camera, Resolution(0), np.ones(2))])
+        s = one_row(identity, camera, 0, np.ones(2))
         path = tmp_path / "s.vpfa"
         with pytest.raises(FormatError, match=field):
             save_set(s, path, "bin")
@@ -395,47 +410,44 @@ class TestBinaryFormat:
             load_set(path, "bin")
 
     def test_largest_ids_round_trip(self, tmp_path):
-        s = EmbeddingSet(2, [EmbeddingRecord(2**32 - 1, 2**16 - 1, Resolution(0), np.ones(2))])
+        s = one_row(2**32 - 1, 2**16 - 1, 0, np.ones(2))
         path = tmp_path / "s.vpfa"
         save_set(s, path, "bin")
-        assert_sets_equal(load_set(path, "bin"), s)
+        assert_columns_equal(load_set(path, "bin"), s)
 
 
 class TestPartition:
     def test_resolution_filter(self):
         s = make_set(num=10)
-        hr = s.partition(lambda r: r.resolution.is_hr)
+        hr = s.partition(s.rate_array == 0)
         assert len(hr) == 5
         assert all(r.resolution.is_hr for r in hr.records)
 
     def test_complement_preserves_multiset(self):
         s = make_set(num=30, dim=5, seed=4)
-        pred = lambda r: r.identity % 2 == 0
-        left = s.partition(pred)
-        right = s.partition(lambda r: not pred(r))
+        even = s.identity_array % 2 == 0
+        left = s.partition(even)
+        right = s.partition(~even)
         assert len(left) + len(right) == len(s)
-        merged = sorted(
-            [r.vector.tobytes() for r in left.records]
-            + [r.vector.tobytes() for r in right.records]
-        )
-        assert merged == sorted(r.vector.tobytes() for r in s.records)
+        merged = sorted(v.tobytes() for part in (left, right) for v in part.matrix)
+        assert merged == sorted(v.tobytes() for v in s.matrix)
 
     def test_empty_partition_keeps_dim(self):
         s = make_set(dim=4)
-        empty = s.partition(lambda r: False)
+        empty = s.partition(np.zeros(len(s), dtype=bool))
         assert empty.dim == 4 and len(empty) == 0
 
     def test_original_unchanged(self):
         s = make_set()
-        before = [r.vector.tobytes() for r in s.records]
-        s.partition(lambda r: r.camera == 0)
-        assert [r.vector.tobytes() for r in s.records] == before
+        before = [s.matrix.tobytes(), s.identity_array.tobytes(), s.rate_array.tobytes()]
+        s.partition(s.camera_array == 0)
+        assert [s.matrix.tobytes(), s.identity_array.tobytes(), s.rate_array.tobytes()] == before
 
     def test_order_preserved(self):
         s = make_set(num=12)
-        sub = s.partition(lambda r: r.camera != 1)
+        sub = s.partition(s.camera_array != 1)
         positions = [s.records.index(r) for r in sub.records]
-        assert positions == sorted(positions)
+        assert positions == sorted(positions) and len(positions) == 8
 
 
 def walk_rows_by_identity(eset, keep):
@@ -452,7 +464,7 @@ class TestRowsByIdentity:
         rng = np.random.default_rng(11)
         n = 60
         rates = rng.choice([0, 2, 3], size=n)
-        self.set = EmbeddingSet.from_arrays(  # shuffled ids, uneven counts per resolution
+        self.set = EmbeddingSet(  # shuffled ids, uneven counts per resolution
             rng.standard_normal((n, 3)), rng.integers(0, 9, size=n) * 7, rng.integers(0, 3, size=n),
             rates)
 
@@ -474,7 +486,7 @@ class TestRowsByIdentity:
 
     def test_empty_mask_and_empty_set_give_no_groups(self):
         assert self.set.rows_by_identity(np.zeros(len(self.set), dtype=bool)) == {}
-        assert EmbeddingSet(3).rows_by_identity() == {}
+        assert EmbeddingSet(np.empty((0, 3)), [], [], []).rows_by_identity() == {}
 
     @pytest.mark.parametrize("mask", [np.ones(5, dtype=bool), np.ones(60, dtype=int)])
     def test_rejects_a_mask_that_is_not_one_bool_per_row(self, mask):
@@ -489,28 +501,23 @@ def columns(num=12, dim=5, seed=6):
     return rng.standard_normal((num, dim)), [i // 3 for i in range(num)], [i % 2 for i in range(num)], rates
 
 
-def assert_columns_equal(a, b):
-    assert a.dim == b.dim
-    for name in ("matrix", "identity_array", "camera_array", "rate_array"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
-
-
 class TestColumnarStorage:
-    def test_record_built_set_equals_array_built_twin(self):
+    def test_list_built_set_equals_array_built_twin(self):
         matrix, ids, cams, rates = columns()
-        records = [EmbeddingRecord(i, c, Resolution(r), v)
-                   for v, i, c, r in zip(matrix, ids, cams, rates)]
-        from_records = EmbeddingSet(5, records, "x")
-        twin = EmbeddingSet.from_arrays(matrix, ids, cams, rates, "x")
-        assert_columns_equal(from_records, twin)
+        from_lists = EmbeddingSet(matrix.tolist(), ids, cams, rates, "x")
+        twin = EmbeddingSet(matrix, np.array(ids, np.uint16), np.array(cams, np.int32),
+                            np.array(rates, np.int64), "x")
+        assert_columns_equal(from_lists, twin)
         assert twin.rate_array.dtype == np.uint8 and twin.matrix.dtype == np.float64
         assert twin.identity_array.dtype == twin.camera_array.dtype == np.int64
 
     def test_records_view_round_trips_and_shares_matrix(self):
-        s = EmbeddingSet.from_arrays(*columns(), "x")
+        s = EmbeddingSet(*columns(), "x")
         assert s.records is s.records  # built once
-        assert_columns_equal(EmbeddingSet(s.dim, s.records), s)
+        rebuilt = EmbeddingSet([r.vector for r in s.records], [r.identity for r in s.records],
+                               [r.camera for r in s.records],
+                               [r.resolution.rate for r in s.records])
+        assert_columns_equal(rebuilt, s)
         for i, rec in enumerate(s.records):
             assert np.shares_memory(rec.vector, s.matrix)
             assert rec.vector.tobytes() == s.matrix[i].tobytes()
@@ -519,20 +526,25 @@ class TestColumnarStorage:
             assert type(rec.identity) is int and type(rec.camera) is int
 
     def test_records_compare_by_value(self):
-        a, b = EmbeddingSet.from_arrays(*columns(), "x"), EmbeddingSet.from_arrays(*columns(), "y")
+        a, b = EmbeddingSet(*columns(), "x"), EmbeddingSet(*columns(), "y")
         assert a.records == b.records and len(set(a.records) | set(b.records)) == len(a)
         assert a.records[0] != a.records[1]
 
-    def test_mask_and_predicate_partition_agree(self):
+    def test_mask_partition_equals_the_record_filter(self):
         s = make_set(num=30, dim=3, seed=12)
         for mask, pred in (
             (s.camera_array == 1, lambda r: r.camera == 1),
             (s.rate_array != 0, lambda r: r.resolution.is_lr),
             (np.zeros(len(s), dtype=bool), lambda r: False),
         ):
-            assert_columns_equal(s.partition(mask), s.partition(pred))
+            kept = [r for r in s.records if pred(r)]
+            filtered = EmbeddingSet(np.array([r.vector for r in kept]).reshape(-1, s.dim),
+                                    [r.identity for r in kept], [r.camera for r in kept],
+                                    [r.resolution.rate for r in kept], s.source_label)
+            assert_columns_equal(s.partition(mask), filtered)
 
-    @pytest.mark.parametrize("mask", [[0, 1, 2], np.ones(5, dtype=bool), np.ones((6, 1), dtype=bool)])
+    @pytest.mark.parametrize("mask", [[0, 1, 2], np.ones(5, dtype=bool), np.ones((6, 1), dtype=bool),
+                                      lambda r: True])
     def test_partition_rejects_a_mask_that_is_not_one_bool_per_record(self, mask):
         with pytest.raises(ValueError, match="mask"):
             make_set(num=6).partition(mask)
@@ -540,21 +552,21 @@ class TestColumnarStorage:
     def test_every_array_is_read_only(self):
         matrix, ids, cams, rates = columns()
         given = np.array(matrix), np.array(ids), np.array(cams), np.array(rates)
-        for s in (make_set(), EmbeddingSet.from_arrays(*given), EmbeddingSet.from_arrays(*columns())):
+        for s in (make_set(), EmbeddingSet(*given), EmbeddingSet(*columns())):
             for name in ("matrix", "identity_array", "camera_array", "rate_array"):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(s, name)[0] = 0
             with pytest.raises(ValueError, match="read-only"):
                 s.records[0].vector[0] = 0.0
 
-    def test_from_arrays_copies_views_and_keeps_owned_arrays(self):
+    def test_constructor_copies_views_and_keeps_owned_arrays(self):
         matrix, ids, cams, rates = (np.array(c) for c in columns())
         base = np.vstack([matrix, matrix])
-        s = EmbeddingSet.from_arrays(base[:12], ids, cams, rates)
+        s = EmbeddingSet(base[:12], ids, cams, rates)
         base[0] = 7.0  # a write through the base of a view leaves the set as it was
         assert not np.shares_memory(s.matrix, base) and s.matrix[0].tolist() == matrix[0].tolist()
         assert base.flags.writeable
-        owned = EmbeddingSet.from_arrays(matrix, ids, cams, rates)
+        owned = EmbeddingSet(matrix, ids, cams, rates)
         assert owned.matrix is matrix and owned.identity_array is ids
         assert not matrix.flags.writeable
 
@@ -565,19 +577,19 @@ class TestColumnarStorage:
         (3, 1, "record 4: LR rate must be >= 2"),
         (3, 256, "record 4: LR rate must be >= 2 and <= 255, got 256"),
     ])
-    def test_from_arrays_reports_the_first_bad_record(self, column, value, message):
+    def test_constructor_reports_the_first_bad_record(self, column, value, message):
         cols = [np.array(c) for c in columns()]
         cols[column][4] = value
         cols[column][7] = value
         with pytest.raises(ValueError, match=message):
-            EmbeddingSet.from_arrays(*cols)
+            EmbeddingSet(*cols)
 
-    def test_from_arrays_rejects_mismatched_shapes(self):
+    def test_constructor_rejects_mismatched_shapes(self):
         matrix, ids, cams, rates = columns(num=6)
         with pytest.raises(ValueError, match="length"):
-            EmbeddingSet.from_arrays(matrix, ids[:5], cams, rates)
+            EmbeddingSet(matrix, ids[:5], cams, rates)
         with pytest.raises(ValueError, match="dim"):
-            EmbeddingSet.from_arrays(matrix[:, :0], ids, cams, rates)
+            EmbeddingSet(matrix[:, :0], ids, cams, rates)
 
 
 class TestHalfSplit:

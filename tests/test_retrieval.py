@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vpfa import retrieval
-from vpfa.embeddings import EmbeddingRecord, EmbeddingSet, Resolution
+from vpfa.embeddings import EmbeddingSet, Resolution
 from vpfa.errors import DataError
 from vpfa.retrieval import (
     RetrievalReport,
@@ -23,7 +23,20 @@ LR2 = Resolution(2)
 
 
 def record(identity, camera, res, vec):
-    return EmbeddingRecord(identity, camera, res, np.asarray(vec, dtype=float))
+    return identity, camera, res.rate, vec
+
+
+def make_set(dim, rows=()):
+    """A set over rows built by ``record``."""
+    rows = list(rows)
+    matrix = np.array([vec for *_, vec in rows], dtype=float).reshape(len(rows), dim)
+    identity, camera, rate = ([row[k] for row in rows] for k in range(3))
+    return EmbeddingSet(matrix, identity, camera, rate)
+
+
+def split(eset):
+    """The LR queries and the HR gallery of a set."""
+    return eset.partition(eset.rate_array != 0), eset.partition(eset.rate_array == 0)
 
 
 def gallery_at_distances(query_vec, distances, identities):
@@ -34,7 +47,7 @@ def gallery_at_distances(query_vec, distances, identities):
         v = np.array(query_vec, dtype=float)
         v[0] += dist
         records.append(record(identity, 1, HR, v))
-    return EmbeddingSet(dim, records)
+    return make_set(dim, records)
 
 
 class TestApplyPanning:
@@ -124,8 +137,8 @@ class TestEvaluate:
         assert report.num_skipped == 0
 
     def test_single_query_nearest_same_identity(self):
-        query = EmbeddingSet(2, [record(0, 0, LR2, [1.0, 0.0])])
-        gallery = EmbeddingSet(2, [
+        query = make_set(2, [record(0, 0, LR2, [1.0, 0.0])])
+        gallery = make_set(2, [
             record(0, 1, HR, [0.9, 0.1]),
             record(1, 1, HR, [-1.0, 0.0]),
         ])
@@ -136,7 +149,7 @@ class TestEvaluate:
 
     def test_hand_computed_average_precision(self):
         # two relevant items at ranks 1 and 3 of 5: AP = (1/1 + 2/3) / 2
-        query = EmbeddingSet(2, [record(0, 0, LR2, [0.0, 0.0])])
+        query = make_set(2, [record(0, 0, LR2, [0.0, 0.0])])
         gallery = gallery_at_distances(
             [0.0, 0.0], distances=[1, 2, 3, 4, 5], identities=[0, 1, 0, 1, 1]
         )
@@ -147,23 +160,16 @@ class TestEvaluate:
 
     def test_cmc_monotone_and_bounded(self):
         s = generate(SynthConfig(num_identities=30, seed=4))
-        lr = s.partition(lambda r: r.resolution.is_lr)
-        hr = s.partition(lambda r: r.resolution.is_hr)
+        lr, hr = split(s)
         report = evaluate(lr, hr)
         assert 0 <= report.rank_k[1] <= report.rank_k[5] <= report.rank_k[10] <= 1
         assert 0 <= report.mean_ap <= 1
 
     def test_global_scaling_leaves_report_unchanged(self):
         s = generate(SynthConfig(num_identities=20, seed=5))
-        lr = s.partition(lambda r: r.resolution.is_lr)
-        hr = s.partition(lambda r: r.resolution.is_hr)
-        scaled = EmbeddingSet(
-            s.dim,
-            [record(r.identity, r.camera, r.resolution, 2.5 * r.vector)
-             for r in s.records],
-        )
-        slr = scaled.partition(lambda r: r.resolution.is_lr)
-        shr = scaled.partition(lambda r: r.resolution.is_hr)
+        lr, hr = split(s)
+        scaled = EmbeddingSet(2.5 * s.matrix, s.identity_array, s.camera_array, s.rate_array)
+        slr, shr = split(scaled)
         for metric in ("cosine", "euclidean"):
             a = evaluate(lr, hr, metric=metric)
             b = evaluate(slr, shr, metric=metric)
@@ -171,9 +177,9 @@ class TestEvaluate:
             assert a.mean_ap == pytest.approx(b.mean_ap, abs=1e-12)
 
     def test_ties_break_by_gallery_index(self):
-        query = EmbeddingSet(2, [record(0, 0, LR2, [1.0, 0.0])])
+        query = make_set(2, [record(0, 0, LR2, [1.0, 0.0])])
         twin = [1.0, 0.0]
-        gallery = EmbeddingSet(2, [
+        gallery = make_set(2, [
             record(5, 1, HR, twin),
             record(0, 1, HR, twin),
         ])
@@ -183,8 +189,8 @@ class TestEvaluate:
         assert report.rank_k[5] == 1.0
 
     def test_camera_filter_excludes_same_id_same_camera(self):
-        query = EmbeddingSet(2, [record(0, 0, LR2, [1.0, 0.0])])
-        gallery = EmbeddingSet(2, [
+        query = make_set(2, [record(0, 0, LR2, [1.0, 0.0])])
+        gallery = make_set(2, [
             record(0, 0, HR, [1.0, 0.0]),    # same identity, same camera: junk
             record(1, 1, HR, [0.9, 0.1]),
             record(0, 1, HR, [0.5, 0.5]),    # the legitimate match
@@ -195,36 +201,34 @@ class TestEvaluate:
         assert filtered.rank_k[1] == 0.0  # match now sits at rank 2
 
     def test_queries_without_relevant_items_are_skipped(self):
-        query = EmbeddingSet(2, [
+        query = make_set(2, [
             record(0, 0, LR2, [1.0, 0.0]),
             record(9, 0, LR2, [0.0, 1.0]),  # identity absent from gallery
         ])
-        gallery = EmbeddingSet(2, [record(0, 1, HR, [1.0, 0.1])])
+        gallery = make_set(2, [record(0, 1, HR, [1.0, 0.1])])
         report = evaluate(query, gallery)
         assert report.num_queries == 1
         assert report.num_skipped == 1
 
     def test_all_skipped_is_an_error(self):
-        query = EmbeddingSet(2, [record(9, 0, LR2, [1.0, 0.0])])
-        gallery = EmbeddingSet(2, [record(0, 1, HR, [1.0, 0.1])])
+        query = make_set(2, [record(9, 0, LR2, [1.0, 0.0])])
+        gallery = make_set(2, [record(0, 1, HR, [1.0, 0.1])])
         with pytest.raises(DataError, match="skipped"):
             evaluate(query, gallery)
 
     def test_empty_gallery_rejected(self):
-        query = EmbeddingSet(2, [record(0, 0, LR2, [1.0, 0.0])])
+        query = make_set(2, [record(0, 0, LR2, [1.0, 0.0])])
         with pytest.raises(DataError, match="gallery"):
-            evaluate(query, EmbeddingSet(2))
+            evaluate(query, make_set(2))
 
     def test_repeated_runs_identical(self):
         s = generate(SynthConfig(num_identities=15, seed=6))
-        lr = s.partition(lambda r: r.resolution.is_lr)
-        hr = s.partition(lambda r: r.resolution.is_hr)
+        lr, hr = split(s)
         assert evaluate(lr, hr) == evaluate(lr, hr)
 
     def test_per_query_table_covers_evaluated_queries(self):
         s = generate(SynthConfig(num_identities=10, seed=8))
-        lr = s.partition(lambda r: r.resolution.is_lr)
-        hr = s.partition(lambda r: r.resolution.is_hr)
+        lr, hr = split(s)
         report = evaluate(lr, hr)
         assert len(report.per_query_ap) == report.num_queries
         assert report.mean_ap == pytest.approx(
@@ -295,10 +299,10 @@ def tied_sets(seed, dim=4):
     q_cams = np.concatenate([[0, 2, 0, 2, 0, 1], rng.integers(0, 3, 54)])
     q_vecs = vectors(60)
     q_vecs[30:45] = g_vecs[rng.integers(0, 80, 15)]
-    gallery = EmbeddingSet(dim, [
+    gallery = make_set(dim, [
         record(i, c, HR, v) for i, c, v in zip(g_ids.tolist(), g_cams.tolist(), g_vecs)
     ])
-    query = EmbeddingSet(dim, [
+    query = make_set(dim, [
         record(i, c, LR2, v) for i, c, v in zip(q_ids.tolist(), q_cams.tolist(), q_vecs)
     ])
     return query, gallery
@@ -326,16 +330,15 @@ class TestEvaluateMatchesReference:
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_synthetic_set_gives_the_reference_report(self, metric):
         s = generate(SynthConfig(dim=16, num_identities=40, samples_per_res=12, seed=4))
-        lr = s.partition(lambda r: r.resolution.is_lr)
-        hr = s.partition(lambda r: r.resolution.is_hr)
+        lr, hr = split(s)
         for camera_filter in (True, False):
             assert evaluate(lr, hr, metric, camera_filter) == reference_evaluate(
                 lr, hr, metric, camera_filter
             )
 
     def test_euclidean_overflow_rejected_without_warnings(self, recwarn):
-        query = EmbeddingSet(2, [record(0, 0, LR2, [1e200, 0.0])])
-        gallery = EmbeddingSet(2, [record(0, 1, HR, [-1e200, 0.0])])
+        query = make_set(2, [record(0, 0, LR2, [1e200, 0.0])])
+        gallery = make_set(2, [record(0, 1, HR, [-1e200, 0.0])])
         with pytest.raises(DataError, match="overflow"):
             evaluate(query, gallery, metric="euclidean")
         assert not recwarn.list
@@ -345,10 +348,10 @@ class TestEvaluateMatchesReference:
         rng = np.random.default_rng(m)
         g_vecs = rng.integers(-2, 3, size=(m + 40, 3)).astype(float)
         g_vecs[~g_vecs.any(axis=1), 0] = 1.0
-        gallery = EmbeddingSet(3, [
+        gallery = make_set(3, [
             record(int(i >= m), 1, HR, v) for i, v in enumerate(g_vecs)
         ])
-        query = EmbeddingSet(3, [
+        query = make_set(3, [
             record(0, c, LR2, g_vecs[i]) for c, i in zip((0, 2, 3), rng.integers(0, m + 40, 3))
         ])
         for metric in ("cosine", "euclidean"):
@@ -362,8 +365,7 @@ class TestEvaluateMatchesReference:
         s = generate(SynthConfig(
             dim=16, num_identities=identities, samples_per_res=per_res, seed=5
         ))
-        lr = s.partition(lambda r: r.resolution.is_lr)
-        hr = s.partition(lambda r: r.resolution.is_hr)
+        lr, hr = split(s)
         for eset in (lr, hr):  # the sets' cached arrays are not evaluate's memory
             eset.matrix, eset.identity_array, eset.camera_array
         assert (len(lr), len(hr)) == (2000, 2000)
@@ -383,15 +385,15 @@ class TestCentroids:
         assert all(d == 0.0 for d in distances.values())
 
     def test_no_shared_identities_rejected(self):
-        a = EmbeddingSet(2, [record(0, 0, HR, [1, 2])])
-        b = EmbeddingSet(2, [record(1, 0, LR2, [1, 2])])
+        a = make_set(2, [record(0, 0, HR, [1, 2])])
+        b = make_set(2, [record(1, 0, LR2, [1, 2])])
         with pytest.raises(DataError, match="share"):
             centroid_distances(a, b)
 
     def test_centroids_equal_the_record_loop(self):
         rng = np.random.default_rng(13)
         ids = rng.integers(0, 9, size=80)
-        s = EmbeddingSet(5, [record(int(i), 0, HR, rng.standard_normal(5)) for i in ids])
+        s = make_set(5, [record(int(i), 0, HR, rng.standard_normal(5)) for i in ids])
         sums, counts = {}, {}
         for rec in s.records:  # the loop the vectorized sum replaced, in record order
             if rec.identity in sums:
@@ -405,7 +407,7 @@ class TestCentroids:
             assert got[i].tobytes() == (sums[i] / counts[i]).tobytes()
 
     def test_compare_computes_hr_centroids_once(self, monkeypatch):
-        hr = generate(SynthConfig(dim=4, num_identities=5, seed=14)).partition(lambda r: r.resolution.is_hr)
+        _, hr = split(generate(SynthConfig(dim=4, num_identities=5, seed=14)))
         before = generate(SynthConfig(dim=4, num_identities=5, seed=15))
         after = generate(SynthConfig(dim=4, num_identities=5, seed=16))
         seen = []
@@ -419,9 +421,9 @@ class TestCentroids:
             assert row.distance_after == centroid_distances(hr, after)[i]
 
     def test_reduction_arithmetic(self):
-        hr = EmbeddingSet(2, [record(0, 0, HR, [0.0, 0.0])])
-        before = EmbeddingSet(2, [record(0, 0, LR2, [2.0, 0.0])])
-        after = EmbeddingSet(2, [record(0, 0, LR2, [1.0, 0.0])])
+        hr = make_set(2, [record(0, 0, HR, [0.0, 0.0])])
+        before = make_set(2, [record(0, 0, LR2, [2.0, 0.0])])
+        after = make_set(2, [record(0, 0, LR2, [1.0, 0.0])])
         report = compare_centroids(hr, before, after)
         row = report.per_identity[0]
         assert row.distance_before == 2.0
@@ -435,20 +437,20 @@ class TestProject2d:
         # zero cross-covariance, larger spread on x: components are the
         # coordinate axes and the output reproduces the centered data
         pts = [(-2.0, 0.0), (2.0, 0.0), (0.0, -1.0), (0.0, 1.0)]
-        s = EmbeddingSet(2, [record(i, 0, HR, p) for i, p in enumerate(pts)])
+        s = make_set(2, [record(i, 0, HR, p) for i, p in enumerate(pts)])
         rows = project_2d([s])
         arr = np.array([[x, y] for _, _, x, y in rows])
         np.testing.assert_allclose(arr, np.array(pts), atol=1e-12)
 
     def test_duplicates_map_to_identical_coordinates(self):
         pts = [(0.0, 0.0), (1.0, 2.0), (1.0, 2.0), (3.0, -1.0)]
-        s = EmbeddingSet(2, [record(i, 0, HR, p) for i, p in enumerate(pts)])
+        s = make_set(2, [record(i, 0, HR, p) for i, p in enumerate(pts)])
         rows = project_2d([s])
         assert rows[1][2:] == rows[2][2:]
 
     def test_rank_deficient_data_rejected(self):
         pts = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]  # collinear
-        s = EmbeddingSet(2, [record(i, 0, HR, p) for i, p in enumerate(pts)])
+        s = make_set(2, [record(i, 0, HR, p) for i, p in enumerate(pts)])
         with pytest.raises(DataError, match="rank"):
             project_2d([s])
 
@@ -457,9 +459,15 @@ class TestProject2d:
         rows = project_2d([s], num_identities=12)
         assert {identity for identity, _, _, _ in rows} == set(range(12))
 
+    @pytest.mark.parametrize("num", [0, -1])
+    def test_identity_count_below_one_rejected(self, num):
+        s = generate(SynthConfig(dim=8, num_identities=3, samples_per_res=2, seed=10))
+        with pytest.raises(ValueError, match=rf"num_identities must be at least 1, got {num}$"):
+            project_2d([s], num_identities=num)
+
     def test_rows_follow_pooled_record_order_of_the_kept_identities(self):
         rng = np.random.default_rng(17)
-        a = EmbeddingSet(3, [record(i, 0, HR if k % 2 else LR2, rng.standard_normal(3))
+        a = make_set(3, [record(i, 0, HR if k % 2 else LR2, rng.standard_normal(3))
                              for k, i in enumerate([5, 1, 9, 1, 3, 7, 5])])
         b = a.partition(a.identity_array != 3)
         rows = project_2d([a, b], num_identities=3)

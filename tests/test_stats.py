@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vpfa.embeddings import EmbeddingRecord, EmbeddingSet, Resolution, half_split_identities
+from vpfa.embeddings import EmbeddingSet, Resolution, half_split_identities
 from vpfa.errors import DataError
 from vpfa.stats import (
     CcaEntry,
@@ -208,9 +208,9 @@ class TestSplitCosine:
     def test_record_order_within_identity_is_irrelevant(self):
         s = planted_set(num_identities=8)
         entry = split_cosine(s, 2)
-        shuffled = EmbeddingSet(
-            s.dim, sorted(s.records, key=lambda r: (r.identity, r.camera)), "x"
-        )
+        order = np.lexsort((s.camera_array, s.identity_array))  # stable: by identity, camera
+        shuffled = EmbeddingSet(s.matrix[order], s.identity_array[order], s.camera_array[order],
+                                s.rate_array[order], "x")
         assert split_cosine(shuffled, 2).cosine == pytest.approx(
             entry.cosine, abs=1e-12
         )
@@ -390,8 +390,8 @@ class TestEqualsTheRecordWalk:
         others = rng.choice(np.flatnonzero(s.identity_array != 0), 25)  # uneven elsewhere
         keep = np.setdiff1d(np.arange(len(s)), np.concatenate([drop, others]))
         rows = rng.permutation(keep)
-        self.set = EmbeddingSet.from_arrays(s.matrix[rows], s.identity_array[rows],
-                                            s.camera_array[rows], s.rate_array[rows])
+        self.set = EmbeddingSet(s.matrix[rows], s.identity_array[rows], s.camera_array[rows],
+                                s.rate_array[rows])
         own = self.set.identity_array == 0
         assert np.count_nonzero(own & (self.set.rate_array == 0)) == 3
         assert np.count_nonzero(own & (self.set.rate_array == 2)) == 5
@@ -436,6 +436,7 @@ class TestAnalyzeSet:
         assert sorted(report.pearson) == [2, 3]
 
     def test_set_without_lr_rejected(self):
-        s = planted_set(num_identities=4).partition(lambda r: r.resolution.is_hr)
+        s = planted_set(num_identities=4)
+        s = s.partition(s.rate_array == 0)
         with pytest.raises(DataError, match="no LR"):
             analyze_set(s)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vpfa.embeddings import EmbeddingRecord, EmbeddingSet, Resolution, save_set
+from vpfa.embeddings import EmbeddingSet, Resolution, save_set
 from vpfa.synthgen import SynthConfig, generate, planted_direction
 
 
@@ -22,19 +22,21 @@ def reference_generate(cfg):
     rng = np.random.default_rng(cfg.seed)
     rng.standard_normal(cfg.dim)
     direction = planted_direction(cfg)
-    records = []
+    rows = []  # (identity, camera, rate, vector)
     for identity in range(cfg.num_identities):
         prototype = cfg.id_spread * rng.standard_normal(cfg.dim)
         for j in range(cfg.samples_per_res):
             vec = prototype + cfg.sample_noise * rng.standard_normal(cfg.dim)
-            records.append(EmbeddingRecord(identity, j % cfg.cameras, Resolution(0), vec))
+            rows.append((identity, j % cfg.cameras, 0, vec))
         for rate in cfg.rates:
             shift = cfg.shift_magnitude[rate] * direction
             for j in range(cfg.samples_per_res):
                 base = prototype + cfg.sample_noise * rng.standard_normal(cfg.dim)
                 vec = base - shift + cfg.shift_noise * rng.standard_normal(cfg.dim)
-                records.append(EmbeddingRecord(identity, j % cfg.cameras, Resolution(rate), vec))
-    return EmbeddingSet(cfg.dim, records, source_label=f"synth(seed={cfg.seed})")
+                rows.append((identity, j % cfg.cameras, rate, vec))
+    identity, camera, rate, vectors = zip(*rows)
+    return EmbeddingSet(np.stack(vectors), identity, camera, rate,
+                        source_label=f"synth(seed={cfg.seed})")
 
 
 class TestConfigValidation:

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from vpfa.embeddings import EmbeddingRecord, EmbeddingSet, Resolution
+from vpfa.embeddings import EmbeddingSet
 from vpfa.errors import DataError
 from vpfa.synthgen import SynthConfig, generate
 from vpfa.trainer import (
@@ -23,39 +23,43 @@ from vpfa.vpnet import TENSOR_ORDER, NetConfig, backward, forward, init_from_con
 
 def tiny_set():
     """Two identities; identity 1 has a single LR sample and must be skipped."""
-    hr = Resolution(0)
-    lr = Resolution(2)
-    records = [
-        EmbeddingRecord(0, 0, hr, np.array([1.0, 0.0])),
-        EmbeddingRecord(0, 1, hr, np.array([0.0, 1.0])),
-        EmbeddingRecord(0, 0, lr, np.array([2.0, 0.0])),
-        EmbeddingRecord(0, 1, lr, np.array([0.0, 2.0])),
-        EmbeddingRecord(1, 0, hr, np.array([5.0, 5.0])),
-        EmbeddingRecord(1, 1, hr, np.array([5.0, 5.0])),
-        EmbeddingRecord(1, 0, lr, np.array([4.0, 4.0])),
-    ]
-    return EmbeddingSet(2, records)
+    matrix = [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, 2.0], [5.0, 5.0], [5.0, 5.0], [4.0, 4.0]]
+    return EmbeddingSet(matrix, [0, 0, 0, 0, 1, 1, 1], [0, 1, 0, 1, 0, 1, 0], [0, 0, 2, 2, 0, 0, 2])
+
+
+def reversed_rows(eset):
+    return EmbeddingSet(*(a[::-1] for a in (
+        eset.matrix, eset.identity_array, eset.camera_array, eset.rate_array)))
 
 
 class TestBuildPrototypePairs:
     def test_arithmetic_means(self):
-        pairs, skipped = build_prototype_pairs(tiny_set())
-        assert len(pairs) == 1 and skipped == 1
-        np.testing.assert_allclose(pairs[0].hr_mean, [0.5, 0.5])
-        np.testing.assert_allclose(pairs[0].lr_mean, [1.0, 1.0])
+        ids, lr_means, hr_means, skipped = build_prototype_pairs(tiny_set())
+        assert ids.tolist() == [0] and skipped == 1
+        np.testing.assert_allclose(hr_means, [[0.5, 0.5]])
+        np.testing.assert_allclose(lr_means, [[1.0, 1.0]])
 
     def test_single_lr_sample_excluded(self):
-        pairs, skipped = build_prototype_pairs(tiny_set())
-        assert all(p.identity != 1 for p in pairs)
+        ids, _, _, skipped = build_prototype_pairs(tiny_set())
+        assert 1 not in ids.tolist()
         assert skipped == 1
 
     def test_sample_order_irrelevant(self):
         s = tiny_set()
-        reordered = EmbeddingSet(2, list(reversed(s.records)))
-        a, _ = build_prototype_pairs(s)
-        b, _ = build_prototype_pairs(reordered)
-        np.testing.assert_allclose(a[0].hr_mean, b[0].hr_mean)
-        np.testing.assert_allclose(a[0].lr_mean, b[0].lr_mean)
+        _, a_lr, a_hr, _ = build_prototype_pairs(s)
+        _, b_lr, b_hr, _ = build_prototype_pairs(reversed_rows(s))
+        np.testing.assert_allclose(a_hr, b_hr)
+        np.testing.assert_allclose(a_lr, b_lr)
+
+    def test_arrays_in_sorted_identity_order(self):
+        s = reversed_rows(generate(SynthConfig(dim=4, num_identities=5, samples_per_res=3,
+                                               seed=2)))
+        ids, lr_means, hr_means, skipped = build_prototype_pairs(s)
+        assert ids.tolist() == list(range(5)) and ids.dtype == np.int64 and skipped == 0
+        assert lr_means.shape == hr_means.shape == (5, 4)
+        for k, identity in enumerate(ids):
+            own = s.identity_array == identity
+            assert hr_means[k].tobytes() == s.matrix[own & (s.rate_array == 0)].mean(axis=0).tobytes()
 
     def test_rate_restriction(self):
         cfg = SynthConfig(
@@ -63,13 +67,14 @@ class TestBuildPrototypePairs:
             shift_magnitude={2: 1.0, 3: 2.0}, rates=(2, 3), seed=0,
         )
         s = generate(cfg)
-        pooled, _ = build_prototype_pairs(s)
-        only2, _ = build_prototype_pairs(s, rates=[2])
-        assert len(pooled) == len(only2) == 3
-        assert not np.allclose(pooled[0].lr_mean, only2[0].lr_mean)
+        pooled_ids, pooled, _, _ = build_prototype_pairs(s)
+        only2_ids, only2, _, _ = build_prototype_pairs(s, rates=[2])
+        assert len(pooled_ids) == len(only2_ids) == 3
+        assert not np.allclose(pooled[0], only2[0])
 
     def test_no_qualifying_identity_is_an_error(self):
-        s = tiny_set().partition(lambda r: r.identity == 1)
+        s = tiny_set()
+        s = s.partition(s.identity_array == 1)
         with pytest.raises(DataError, match="two samples"):
             build_prototype_pairs(s)
 
@@ -92,24 +97,23 @@ class TestGroupingMatchesRecordWalk:
         s = generate(SynthConfig(dim=16, num_identities=9, samples_per_res=5,
                                  shift_magnitude={2: 1.0, 3: 2.0}, rates=(2, 3), seed=4))
         rows = np.random.default_rng(0).permutation(len(s))[: len(s) * 4 // 5]  # shuffled, uneven
-        self.set = EmbeddingSet.from_arrays(s.matrix[rows], s.identity_array[rows],
-                                            s.camera_array[rows], s.rate_array[rows])
+        self.set = EmbeddingSet(s.matrix[rows], s.identity_array[rows], s.camera_array[rows],
+                                s.rate_array[rows])
         self.hr, self.lr = record_groups(self.set)
 
     @pytest.mark.parametrize("rates", [None, [3]])
     def test_prototype_means(self, rates):
         hr, lr = record_groups(self.set, rates)
-        pairs, skipped = build_prototype_pairs(self.set, rates)
-        assert len(pairs) + skipped == len(set(hr) | set(lr))
-        for p in pairs:
-            assert p.hr_mean.tobytes() == np.mean(hr[p.identity], axis=0).tobytes()
-            assert p.lr_mean.tobytes() == np.mean(lr[p.identity], axis=0).tobytes()
+        ids, lr_means, hr_means, skipped = build_prototype_pairs(self.set, rates)
+        assert len(ids) + skipped == len(set(hr) | set(lr))
+        for identity, lr_mean, hr_mean in zip(ids.tolist(), lr_means, hr_means):
+            assert hr_mean.tobytes() == np.mean(hr[identity], axis=0).tobytes()
+            assert lr_mean.tobytes() == np.mean(lr[identity], axis=0).tobytes()
 
     def test_bootstrap_draws(self):
-        pairs, _ = build_prototype_pairs(self.set)
+        ids, *_ = build_prototype_pairs(self.set)
         cfg = TrainConfig(num_pairs=40, seed=6)
         rng = np.random.default_rng(cfg.seed)
-        ids = np.array([p.identity for p in pairs])
         expected = []
         while len(expected) < cfg.num_pairs:
             for identity in rng.permutation(ids):
@@ -122,53 +126,53 @@ class TestGroupingMatchesRecordWalk:
                 pick_l = rng.choice(ls.shape[0], size=n_l, replace=False)
                 expected.append((identity, ls[pick_l].mean(axis=0).tobytes(),
                                  hs[pick_h].mean(axis=0).tobytes()))
-        got = [(p.identity, p.lr_mean.tobytes(), p.hr_mean.tobytes())
-               for p in sample_training_pairs(pairs, self.set, cfg)]
-        assert got == expected
+        drawn, z_lr, z_hr = sample_training_pairs(ids, self.set, cfg)
+        assert (z_lr.shape, z_hr.shape) == ((40, 16), (40, 16))
+        assert list(zip(drawn.tolist(), map(bytes, z_lr), map(bytes, z_hr))) == expected
 
 
 class TestSampleTrainingPairs:
     def setup_method(self):
         self.set = generate(SynthConfig(dim=8, num_identities=7, samples_per_res=5, seed=1))
-        self.pairs, _ = build_prototype_pairs(self.set)
+        self.ids, self.lr_means, self.hr_means, _ = build_prototype_pairs(self.set)
 
     def test_degenerate_bootstrap_returns_full_means(self):
         cfg = TrainConfig(num_pairs=7, bootstrap_fraction=1.0, seed=3)
-        sampled = sample_training_pairs(self.pairs, self.set, cfg)
-        assert sorted(p.identity for p in sampled) == list(range(7))
-        by_id = {p.identity: p for p in self.pairs}
-        for p in sampled:
-            np.testing.assert_allclose(p.hr_mean, by_id[p.identity].hr_mean)
-            np.testing.assert_allclose(p.lr_mean, by_id[p.identity].lr_mean)
+        drawn, z_lr, z_hr = sample_training_pairs(self.ids, self.set, cfg)
+        assert sorted(drawn.tolist()) == list(range(7))
+        np.testing.assert_allclose(z_hr, self.hr_means[drawn])  # identity k at row k
+        np.testing.assert_allclose(z_lr, self.lr_means[drawn])
 
     def test_same_seed_same_sequence(self):
         cfg = TrainConfig(num_pairs=20, seed=5)
-        a = sample_training_pairs(self.pairs, self.set, cfg)
-        b = sample_training_pairs(self.pairs, self.set, cfg)
-        for pa, pb in zip(a, b):
-            assert pa.identity == pb.identity
-            np.testing.assert_array_equal(pa.hr_mean, pb.hr_mean)
+        a = sample_training_pairs(self.ids, self.set, cfg)
+        b = sample_training_pairs(self.ids, self.set, cfg)
+        for xa, xb in zip(a, b):
+            assert xa.tobytes() == xb.tobytes()
 
     def test_draw_counts_differ_by_at_most_one(self):
         cfg = TrainConfig(num_pairs=50, seed=2)
-        sampled = sample_training_pairs(self.pairs, self.set, cfg)
-        counts = Counter(p.identity for p in sampled)
+        drawn, _, _ = sample_training_pairs(self.ids, self.set, cfg)
+        counts = Counter(drawn.tolist())
         assert sorted(counts) == list(range(7))
         assert set(counts.values()) <= {50 // 7, 50 // 7 + 1}  # 7 or 8
         assert sum(counts.values()) == 50
 
     def test_bootstrap_draws_of_one_identity_differ(self):
         cfg = TrainConfig(num_pairs=14, bootstrap_fraction=0.5, seed=4)
-        sampled = sample_training_pairs(self.pairs, self.set, cfg)
+        drawn, z_lr, z_hr = sample_training_pairs(self.ids, self.set, cfg)
         for identity in range(7):
-            draws = [p for p in sampled if p.identity == identity]
-            assert len(draws) == 2
+            first, second = np.flatnonzero(drawn == identity)
             # the pair as a whole must differ (either side may collide by
             # chance, both together is a different bootstrap draw)
-            same_pair = np.array_equal(draws[0].hr_mean, draws[1].hr_mean) and (
-                np.array_equal(draws[0].lr_mean, draws[1].lr_mean)
+            same_pair = np.array_equal(z_hr[first], z_hr[second]) and (
+                np.array_equal(z_lr[first], z_lr[second])
             )
             assert not same_pair
+
+    def test_no_identities_is_an_error(self):
+        with pytest.raises(DataError, match="no prototype pairs"):
+            sample_training_pairs(self.ids[:0], self.set, TrainConfig(num_pairs=3))
 
 
 class TestVplLoss:
@@ -341,10 +345,8 @@ class TestTrainConfig:
 
 def reference_train(eset, net_cfg, cfg):
     """The training loop with allocating forward/backward calls, step by step."""
-    pairs, _ = build_prototype_pairs(eset)
-    sampled = sample_training_pairs(pairs, eset, cfg)
-    z_lr = np.stack([p.lr_mean for p in sampled])
-    z_hr = np.stack([p.hr_mean for p in sampled])
+    ids, *_ = build_prototype_pairs(eset)
+    _, z_lr, z_hr = sample_training_pairs(ids, eset, cfg)
     params = init_from_config(net_cfg)
     theta, grads = {"theta": params.flat}, {"theta": np.empty_like(params.flat)}
     state = AdamState.zeros_like(theta)
