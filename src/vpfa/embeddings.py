@@ -370,6 +370,14 @@ def _load_csv(path: Path) -> EmbeddingSet:
     return EmbeddingSet(matrix, *np.concatenate(labels).T, str(path))
 
 
+def _id_field(text: str) -> int:
+    """An identity or camera field as the writer emits it, surrounding whitespace aside."""
+    field = text.strip()
+    if str(value := int(field)) != field:  # a sign, an underscore or a leading zero
+        raise ValueError(f"identity and camera IDs must be plain decimals, got {field!r}")
+    return value
+
+
 def _parse_rows(path: Path, lines: list[str], dim: int, start: int, stop: int):
     """The rows of ``lines[start:stop]``: an (N, dim) matrix and N (identity, camera, rate)."""
     matrix, labels = None, []
@@ -384,7 +392,7 @@ def _parse_rows(path: Path, lines: list[str], dim: int, start: int, stop: int):
         if matrix is None:  # sized by the text: only lines over 2 * dim characters hold a row
             matrix = np.empty((sum(len(text) > 2 * dim for text in lines[start:stop]), dim))
         try:
-            identity, camera = int(parts[0]), int(parts[1])
+            identity, camera = _id_field(parts[0]), _id_field(parts[1])
             rate = _tag_rate(parts[2])
             matrix[len(labels)] = [float(v) for v in parts[3:]]
         except ValueError as exc:

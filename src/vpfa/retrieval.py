@@ -6,9 +6,13 @@ with the query are excluded when the camera filter is on; queries with no
 remaining relevant item are skipped and counted.  Ties in similarity break
 by gallery record index.  No row is sorted: a relevant item's 0-based rank
 is the count of non-excluded items scoring higher plus equal scorers at a
-lower index, found for all G items by a binary search over the query's m
-relevant items, O(G log m) per query.  Memory: one Q x G float64 score
-matrix, two Q x G bool masks and a few arrays of EVAL_BLOCK (or G) elements.
+lower index.  Each query's m relevant items come from the gallery sorted
+once by identity, not from a Q x G mask.  Only its candidates, the items
+scoring at or above its lowest relevant score, can rank ahead of a relevant
+item; a binary search over the m relevant items places each candidate.  Per
+query that is one O(G) comparison, an O(m log m) sort and O(c log m) for c
+candidates.  Memory: one Q x G float64 score matrix and a few arrays of
+EVAL_BLOCK (or G) elements.
 """
 
 from __future__ import annotations
@@ -89,6 +93,12 @@ def _scores(query_mat, gallery_mat, metric):
     raise ValueError(f"unknown metric {metric!r}")
 
 
+def _ranks(a, b):
+    """Dense ranks of the values of ``a`` and of ``b`` among both, and the number of values."""
+    values, rank = np.unique(np.concatenate([a, b]), return_inverse=True)
+    return rank[: len(a)], rank[len(a):], len(values)
+
+
 def evaluate(
     query: EmbeddingSet,
     gallery: EmbeddingSet,
@@ -106,13 +116,18 @@ def evaluate(
 
     scores = _scores(query.matrix, gallery.matrix, metric)
     num_q, num_g = scores.shape
-    relevant = query.identity_array[:, None] == gallery.identity_array
-    if cross_camera_filter:  # junk: same identity and camera; scores -inf, below the rest
-        junk = query.camera_array[:, None] == gallery.camera_array
-        junk &= relevant
-        np.copyto(scores, -np.inf, where=junk)
-        relevant ^= junk
-    counts = np.count_nonzero(relevant, axis=1)
+    # Gallery columns grouped by identity, each group in ascending gallery order.
+    by_id = np.argsort(gallery.identity_array, kind="stable")
+    sorted_ids = gallery.identity_array[by_id]
+    lo = np.searchsorted(sorted_ids, query.identity_array)
+    same = np.searchsorted(sorted_ids, query.identity_array, side="right") - lo
+    counts = same
+    if cross_camera_filter:  # junk: same identity and camera, ranked behind the rest
+        # Keys of ranks, not of raw IDs: two IDs up to 2**63 - 1 overflow an int64 key.
+        q_id, g_id, _ = _ranks(query.identity_array, gallery.identity_array)
+        q_cam, g_cam, num_cams = _ranks(query.camera_array, gallery.camera_array)
+        keys, q_keys = np.sort(g_id * num_cams + g_cam), q_id * num_cams + q_cam
+        counts = same - (np.searchsorted(keys, q_keys, "right") - np.searchsorted(keys, q_keys))
 
     # Equal-m queries share blocks: each AP sums one row as a 1-d mean does.
     first, ap = np.empty(num_q, dtype=np.intp), np.empty(num_q)  # 1-based first hit
@@ -120,26 +135,40 @@ def evaluate(
     for m in np.unique(counts[counts > 0]).tolist():
         chosen, width = np.flatnonzero(counts == m), 1 << m.bit_length()
         for qs in np.split(chosen, range(step, chosen.size, step)):
-            block = scores[qs]
+            block = scores[qs]  # a copy: junk is written into it, not into scores
+            # The block's same-identity (row, column) pairs, row by row.
+            n = same[qs]
+            offset = np.repeat(lo[qs] - np.cumsum(n) + n, n)
+            col = by_id[np.arange(offset.size) + offset]
+            if cross_camera_filter:
+                row = np.repeat(np.arange(len(qs)), n)
+                junk = gallery.camera_array[col] == query.camera_array[qs][row]
+                block[row[junk], col[junk]] = -np.inf
+                col = col[~junk]
             # Relevant items in rank order (higher score, then lower index), then
             # sentinels ranked behind everything, up to width > m columns.
-            rel_i = np.nonzero(relevant[qs])[1].reshape(len(qs), m)
+            rel_i = col.reshape(len(qs), m)
             rel_s = np.take_along_axis(block, rel_i, axis=1)
             order, pad = np.argsort(-rel_s, axis=1, kind="stable"), ((0, 0), (0, width - m))
             rel_s = np.pad(np.take_along_axis(rel_s, order, 1), pad, constant_values=-np.inf)
             rel_i = np.pad(np.take_along_axis(rel_i, order, 1), pad, constant_values=num_g)
+            # Candidates: only items scoring at least the lowest relevant score can
+            # rank ahead of a relevant item; every other item ranks behind all m.
+            candidate = block >= rel_s[:, m - 1 : m]
+            flat = np.flatnonzero(candidate)
+            vals = block.take(flat)
             # k: flat index of (row, number of relevant items ranked ahead), bit by bit.
-            k = np.repeat(np.arange(0, rel_s.size, width), num_g).reshape(block.shape)
+            k = np.repeat(np.arange(0, rel_s.size, width), np.count_nonzero(candidate, axis=1))
             bit = width
             while bit := bit // 2:
                 j = k + (bit - 1)
                 s = rel_s.take(j)
-                ahead = s > block
-                tie = np.flatnonzero(s == block)  # few: break them by gallery index
-                ahead.flat[tie] = rel_i.take(j.flat[tie]) < tie % num_g
+                ahead = s > vals
+                tie = np.flatnonzero(s == vals)  # few: break them by gallery index
+                ahead[tie] = rel_i.take(j[tie]) < flat[tie] % num_g
                 k += ahead * bit
             # Items with k <= r rank at or ahead of relevant item r: r's 1-based rank.
-            hits = np.bincount(k.ravel(), minlength=rel_s.size).reshape(-1, width)
+            hits = np.bincount(k, minlength=rel_s.size).reshape(-1, width)
             hits = hits[:, :m].cumsum(axis=1)
             first[qs], ap[qs] = hits[:, 0], (np.arange(1, m + 1) / hits).mean(axis=1)
 

@@ -152,6 +152,22 @@ class TestCsvFormat:
         with pytest.raises(FormatError, match=r"s\.csv: line 3: .*non-negative"):
             load_set(path, "csv")
 
+    @pytest.mark.parametrize("field", ["1_0", "+1", "01", "-1", "00", "-0", "1.0", "1e1", "x", ""])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_only_the_ids_the_writer_emits_load(self, tmp_path, field, column):
+        row = ["1", "1", "LRx2", "3", "4"]
+        row[column] = field
+        path = tmp_path / "s.csv"
+        path.write_text(f"dim=2\n0,0,HR,1,2\n{','.join(row)}\n")
+        with pytest.raises(FormatError, match=r"s\.csv: line 3: "):
+            load_set(path, "csv")
+
+    def test_ids_padded_with_whitespace_load(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("dim=2\n 7 ,\t0,HR,1,2\n3 , 12,LRx2,3,4\n")
+        s = load_set(path, "csv")
+        assert s.identity_array.tolist() == [7, 3] and s.camera_array.tolist() == [0, 12]
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("dim=2\n0,0,HR,1,2\n\n  \n1,1,LRx2,3,4\n\n")

@@ -378,6 +378,88 @@ class TestEvaluateMatchesReference:
         assert peak <= 1.5 * len(lr) * len(hr) * 8
 
 
+def random_sets(seed, num_q, num_g, ids, cameras=3, dim=64, id_p=None):
+    """Queries and gallery of standard-normal vectors with drawn identities and cameras."""
+    rng = np.random.default_rng(seed)
+
+    def drawn(n, rate):
+        return EmbeddingSet(rng.standard_normal((n, dim)), rng.choice(ids, n, p=id_p),
+                            rng.integers(0, cameras, n), np.full(n, rate))
+
+    return drawn(num_q, 2), drawn(num_g, 0)
+
+
+def assert_matches_reference(query, gallery):
+    for metric in ("cosine", "euclidean"):
+        for camera_filter in (True, False):
+            got = evaluate(query, gallery, metric, camera_filter, ks=(1, 2, 5, 10, 30))
+            assert got == reference_evaluate(query, gallery, metric, camera_filter,
+                                             ks=(1, 2, 5, 10, 30))
+
+
+class TestPrunedSearchMatchesReference:
+    """Only items scoring at least a query's lowest relevant score are searched."""
+
+    def test_random_features_make_nearly_every_item_a_candidate(self):
+        query, gallery = random_sets(0, 150, 400, ids=40)
+        scores = retrieval._scores(query.matrix, gallery.matrix, "cosine")
+        relevant = query.identity_array[:, None] == gallery.identity_array
+        lowest = np.where(relevant, scores, np.inf).min(axis=1, keepdims=True)
+        assert np.mean(scores >= lowest) > 0.8
+        assert_matches_reference(query, gallery)
+
+    @pytest.mark.parametrize("twin_index", [0, 3])
+    def test_item_tied_with_the_lowest_relevant_score(self, twin_index):
+        low = [1.0, 2.0, 2.0]  # the lowest-scoring relevant vector, at gallery index 2
+        rows = [(1, 1, [2.0, 0.0, 1.0]), (0, 1, [2.0, 1.0, 0.0]), (0, 1, low),
+                (4, 1, [0.0, 2.0, 1.0]), (0, 0, low), (5, 1, [-1.0, 0.0, 0.0])]
+        rows.insert(twin_index, (7, 1, low))  # not relevant, scores exactly as index 2
+        gallery = make_set(3, [record(i, c, HR, v) for i, c, v in rows])
+        query = make_set(3, [record(0, 0, LR2, [1.0, 0.0, 0.0]),
+                             record(0, 1, LR2, [2.0, 1.0, 0.0])])
+        for metric in ("cosine", "euclidean"):
+            scores = retrieval._scores(query.matrix, gallery.matrix, metric)
+            rel = scores[:, [i for i, (ident, c, _) in enumerate(rows) if ident == 0 and c == 1]]
+            assert (scores[:, twin_index] == rel.min(axis=1)).all()
+        assert_matches_reference(query, gallery)
+
+    def test_one_identity_makes_every_item_relevant(self):
+        query, gallery = random_sets(1, 120, 300, ids=[0], dim=8)
+        assert_matches_reference(query, gallery)
+
+    def test_queries_whose_same_identity_items_are_all_junk(self):
+        query, gallery = random_sets(2, 100, 200, ids=6, dim=8)
+        on_camera_0 = gallery.identity_array == 3
+        gallery = EmbeddingSet(gallery.matrix, gallery.identity_array,
+                               np.where(on_camera_0, 0, gallery.camera_array),
+                               gallery.rate_array)
+        junk_only = (query.identity_array == 3) & (query.camera_array == 0)
+        assert junk_only.sum() >= 3
+        assert evaluate(query, gallery).num_skipped == junk_only.sum()
+        assert_matches_reference(query, gallery)
+
+    def test_one_element_blocks_with_mixed_relevant_counts(self, monkeypatch):
+        query, gallery = random_sets(3, 80, 200, ids=5, dim=6,
+                                     id_p=[0.5, 0.25, 0.15, 0.08, 0.02])
+        monkeypatch.setattr(retrieval, "EVAL_BLOCK", 1)
+        assert_matches_reference(query, gallery)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_one_identity_peak_memory_is_under_1_3_score_matrices(self, metric):
+        s = generate(SynthConfig(dim=16, num_identities=1, samples_per_res=2000, seed=5))
+        lr, hr = split(s)
+        for eset in (lr, hr):  # the sets' cached arrays are not evaluate's memory
+            eset.matrix, eset.identity_array, eset.camera_array
+        assert (len(lr), len(hr)) == (2000, 2000)
+        tracemalloc.start()
+        try:
+            evaluate(lr, hr, metric)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * len(lr) * len(hr) * 8
+
+
 class TestCentroids:
     def test_identical_sets_have_zero_distances(self):
         s = generate(SynthConfig(num_identities=6, seed=9))
