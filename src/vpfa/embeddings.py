@@ -44,6 +44,14 @@ BINARY_BLOCK_BYTES = 1 << 22
 CSV_CHUNK_BYTES = 1 << 20
 
 
+def check_lr_rate(rate: int) -> int:
+    """``rate`` if it is an LR rate, 2 to 255 (one byte in the binary format);
+    a ValueError otherwise, worded as a set's record check words it."""
+    if not 2 <= rate <= 255:
+        raise ValueError(f"LR rate must be >= 2 and <= 255, got {rate}")
+    return rate
+
+
 @dataclass(frozen=True, order=True)
 class Resolution:
     """Resolution tag: HR when ``rate == 0``, else downsampled by ``rate``."""
@@ -51,10 +59,8 @@ class Resolution:
     rate: int = 0
 
     def __post_init__(self) -> None:
-        if self.rate != 0 and self.rate < 2:
-            raise ValueError(f"LR rate must be >= 2, got {self.rate}")
-        if not 0 <= self.rate <= 255:
-            raise ValueError(f"resolution rate out of range: {self.rate}")
+        if self.rate != 0:
+            check_lr_rate(self.rate)
 
     @property
     def is_hr(self) -> bool:

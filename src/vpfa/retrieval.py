@@ -87,7 +87,8 @@ def _scores(query_mat, gallery_mat, metric):
             sq = 2.0 * query_mat @ gallery_mat.T  # sum(q^2) - 2 q.g + sum(g^2), in place
             np.subtract(np.sum(query_mat**2, axis=1, keepdims=True), sq, out=sq)
             sq += np.sum(gallery_mat**2, axis=1)
-        if not np.isfinite(sq).all():
+        # NaN propagates through max and min; neither allocates a Q x G mask
+        if not (np.isfinite(sq.max()) and np.isfinite(sq.min())):
             raise DataError("euclidean distances overflow float64")
         return np.negative(sq, out=sq)
     raise ValueError(f"unknown metric {metric!r}")

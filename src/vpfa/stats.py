@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, Resolution, half_split_identities
+from .embeddings import EmbeddingSet, Resolution, check_lr_rate, half_split_identities
 from .errors import DataError
 
 
@@ -138,12 +138,13 @@ class StatsReport:
     pearson: dict[int, PearsonEntry]
 
 
-def _groups(eset: EmbeddingSet, lr: Resolution) -> tuple[dict, dict, list[int]]:
-    """Row indices of each identity's HR and LR-at-rate samples, in record
-    order, and the sorted identities that have both."""
+def _groups(eset: EmbeddingSet, rate: int) -> tuple[Resolution, dict, dict, list[int]]:
+    """The resolution at LR rate ``rate``, the row indices of each identity's
+    HR and LR-at-rate samples, in record order, and the sorted identities
+    that have both."""
     hr = eset.rows_by_identity(eset.rate_array == 0)
-    lrs = eset.rows_by_identity((eset.rate_array == lr.rate) & lr.is_lr)
-    return hr, lrs, sorted(hr.keys() & lrs.keys())
+    lrs = eset.rows_by_identity(eset.rate_array == check_lr_rate(rate))
+    return Resolution(rate), hr, lrs, sorted(hr.keys() & lrs.keys())
 
 
 def _paired_rows(hr: dict, lrs: dict, ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -166,8 +167,7 @@ def split_cosine(eset: EmbeddingSet, rate: int) -> SplitCosineEntry:
     shift of a half is (mean of per-identity HR means) minus (mean of
     per-identity LR means).
     """
-    lr = Resolution(rate)
-    hr, lrs, ids = _groups(eset, lr)
+    lr, hr, lrs, ids = _groups(eset, rate)
     if len(ids) < 2:
         raise DataError(
             f"split cosine at {lr} needs >= 2 identities with both resolutions, got {len(ids)}"
@@ -197,8 +197,7 @@ def cca_with_random_baseline(
     rows - 1, both sides are reduced to their top min(rows - 1, dim)
     principal components first (recorded in ``components``).
     """
-    lr = Resolution(rate)
-    hr, lrs, ids = _groups(eset, lr)
+    lr, hr, lrs, ids = _groups(eset, rate)
     if not ids:
         raise DataError(f"no identities with both HR and {lr} records")
     if rows == "identity_mean":
@@ -246,8 +245,7 @@ def grouped_pearson(
     """
     if num_identities < 1 or group_size < 1:
         raise ValueError("num_identities and group_size must be positive")
-    lr = Resolution(rate)
-    hr, lrs, ids = _groups(eset, lr)
+    lr, hr, lrs, ids = _groups(eset, rate)
     if len(ids) < num_identities:
         raise DataError(
             f"grouped pearson at {lr} needs {num_identities} identities with "

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingSet
+from . import vpnet
+from .embeddings import EmbeddingSet, check_lr_rate
 from .errors import DataError
 from .stats import cosine
-from .vpnet import ForwardTrace, NetConfig, VPParams, backward, forward, init_from_config
+from .vpnet import ForwardTrace, NetConfig, VPParams, backward, forward
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,9 @@ class TrainLog:
 
 def _lr_mask(eset: EmbeddingSet, rates: list[int] | None) -> np.ndarray:
     """The LR rows at ``rates`` (at every LR rate when None)."""
-    lr = eset.rate_array != 0
-    return lr if rates is None else lr & np.isin(eset.rate_array, rates)
+    if rates is None:
+        return eset.rate_array != 0
+    return np.isin(eset.rate_array, [check_lr_rate(rate) for rate in rates])
 
 
 def build_prototype_pairs(
@@ -219,8 +221,11 @@ def train(
     identities, *_ = build_prototype_pairs(eset, rates)
     _, z_lr, z_hr = sample_training_pairs(identities, eset, cfg, rates)
 
-    params = init_from_config(net_cfg)
-    theta, grads = {"theta": params.flat}, {"theta": np.empty_like(params.flat)}
+    # through the module, where tracers (perfbench/tracing.py) wrap init_params
+    params = vpnet.init_params(net_cfg.dim, net_cfg.hidden, net_cfg.init_std, net_cfg.seed)
+    grads = VPParams(net_cfg.dim, net_cfg.hidden, np.empty_like(params.flat))
+    # adam_step walks name -> array mappings; the whole vector is one entry
+    theta, dtheta = {"theta": params.flat}, {"theta": grads.flat}
     state = AdamState.zeros_like(theta)
     order_rng = np.random.default_rng([cfg.seed, 1])
     num = z_lr.shape[0]
@@ -251,9 +256,9 @@ def train(
                 diff = np.subtract(zhat, hr, out=grad_out)
                 epoch_total += float(np.add.reduce(np.square(diff, out=sq), axis=None))
                 np.multiply(2.0 / idx.size, diff, out=grad_out)  # mean of per-pair losses
-                backward(params, ws, grad_out, out=grads["theta"])
+                backward(params, ws, grad_out, out=grads)
                 t += 1
-                adam_step(theta, grads, state, lr=cfg.learning_rate, wd=cfg.weight_decay, t=t)
+                adam_step(theta, dtheta, state, lr=cfg.learning_rate, wd=cfg.weight_decay, t=t)
             if not math.isfinite(epoch_total):
                 raise DataError(f"training diverged: epoch {epoch} loss is {epoch_total}; "
                                 "lower the learning rate")

@@ -7,7 +7,9 @@ The network adds a learned, tanh-bounded correction to its input:
 
 All math is float64 numpy.  Inputs may be a single vector of length ``dim``
 or a batch of shape ``(n, dim)``; gradients of batched calls are summed over
-the batch.  Initialization draws the four weight matrices, in order, from
+the batch.  Parameters and their gradients are both :class:`VPParams`: one
+flat vector with named views in the layout of the parameter file.
+Initialization draws the four weight matrices, in order, from
 ``numpy.random.default_rng(seed)`` as N(0, init_std^2); biases start at
 zero and LayerNorm affines at gain 1 / offset 0, so an ``init_std`` of 0
 makes the network an exact identity.
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +30,6 @@ from .errors import FormatError
 PARAMS_MAGIC = b"VPNP"
 PARAMS_VERSION = 1
 LN_EPS = 1e-5
-
-TENSOR_ORDER = (
-    "w1", "b1", "gamma1", "beta1",
-    "w2", "b2", "gamma2", "beta2",
-    "w3", "b3", "gamma3", "beta3",
-    "w4", "b4",
-)
 
 
 @dataclass
@@ -54,29 +49,20 @@ def tensor_shapes(dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
     }
 
 
+TENSOR_ORDER = tuple(tensor_shapes(1, 1))
+
+
 def parameter_count(dim: int, hidden: int) -> int:
     """Exact number of learnable scalars for the given dimensions."""
     return sum(math.prod(shape) for shape in tensor_shapes(dim, hidden).values())
 
 
-def tensor_views(flat: np.ndarray, dim: int, hidden: int) -> dict[str, np.ndarray]:
-    """The layout shared by parameters, gradients and the parameter file:
-    named row-major views cut from ``flat`` back to back in TENSOR_ORDER."""
-    shapes = tensor_shapes(dim, hidden)
-    sizes = [math.prod(shapes[name]) for name in TENSOR_ORDER]
-    if flat.shape != (sum(sizes),):
-        raise ValueError(f"flat buffer shape {flat.shape} != ({sum(sizes)},)")
-    views, offset = {}, 0
-    for name, size in zip(TENSOR_ORDER, sizes):
-        views[name] = flat[offset : offset + size].reshape(shapes[name])
-        offset += size
-    return views
-
-
 @dataclass
 class VPParams:
-    """All parameters in one contiguous float64 vector ``flat``; the named
-    tensors ``w1``, ``b1``, ... ``b4`` are views into it (see tensor_views)."""
+    """Parameters, or their gradients, in one contiguous float64 vector
+    ``flat``.  The named tensors ``w1``, ``b1``, ... ``b4`` are row-major
+    views cut from it back to back in TENSOR_ORDER, the layout of the
+    parameter file's body."""
 
     dim: int
     hidden: int
@@ -85,14 +71,18 @@ class VPParams:
     def __post_init__(self) -> None:
         if self.flat.dtype != np.float64 or not self.flat.flags.c_contiguous:
             raise ValueError("flat parameters must be a contiguous float64 vector")
-        self.__dict__.update(tensor_views(self.flat, self.dim, self.hidden))
+        count = parameter_count(self.dim, self.hidden)
+        if self.flat.shape != (count,):
+            raise ValueError(f"flat buffer shape {self.flat.shape} != ({count},)")
+        offset = 0
+        for name, shape in tensor_shapes(self.dim, self.hidden).items():
+            size = math.prod(shape)
+            setattr(self, name, self.flat[offset : offset + size].reshape(shape))
+            offset += size
 
     def tensors(self) -> dict[str, np.ndarray]:
-        """Parameter arrays in serialization order (live views of ``flat``)."""
+        """The named tensors in TENSOR_ORDER (live views of ``flat``)."""
         return {name: getattr(self, name) for name in TENSOR_ORDER}
-
-    def copy(self) -> "VPParams":
-        return VPParams(self.dim, self.hidden, self.flat.copy())
 
 
 def init_params(dim: int, hidden: int, init_std: float = 1e-3, seed: int = 0) -> VPParams:
@@ -109,10 +99,6 @@ def init_params(dim: int, hidden: int, init_std: float = 1e-3, seed: int = 0) ->
         rng.standard_normal(out=weight)
         weight *= init_std
     return params
-
-
-def init_from_config(cfg: NetConfig) -> VPParams:
-    return init_params(cfg.dim, cfg.hidden, cfg.init_std, cfg.seed)
 
 
 def layernorm_forward(
@@ -188,7 +174,6 @@ class ForwardTrace:
     dz: np.ndarray        # (rows, dim) head gradient, then input gradient
     z: np.ndarray | None = None  # (rows, dim) traced input, set by forward
     single: bool = False
-    grad_cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def allocate(cls, rows: int, dim: int, hidden: int) -> "ForwardTrace":
@@ -201,18 +186,10 @@ class ForwardTrace:
 
     def head(self, rows: int) -> "ForwardTrace":
         """A trace over the first ``rows`` rows of these buffers."""
-        return ForwardTrace(**{name: getattr(self, name)[:rows] for name in _BUFFERS},
-                            grad_cache=self.grad_cache)
-
-    def gradient_views(self, flat: np.ndarray, dim: int, hidden: int) -> dict[str, np.ndarray]:
-        """``tensor_views(flat, ...)``, cut once per gradient buffer."""
-        if self.grad_cache.get("flat") is not flat:
-            self.grad_cache.update(flat=flat, views=tensor_views(flat, dim, hidden))
-        return self.grad_cache["views"]
+        return ForwardTrace(**{name: getattr(self, name)[:rows] for name in _BUFFERS})
 
 
-_BUFFERS = tuple(f.name for f in fields(ForwardTrace)
-                 if f.name not in ("z", "single", "grad_cache"))
+_BUFFERS = tuple(f.name for f in fields(ForwardTrace) if f.name not in ("z", "single"))
 
 
 def forward(
@@ -254,15 +231,15 @@ def forward(
 
 
 def backward(
-    params: VPParams, trace: ForwardTrace, grad_output: np.ndarray, out: np.ndarray | None = None
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    params: VPParams, trace: ForwardTrace, grad_output: np.ndarray, out: VPParams | None = None
+) -> tuple[VPParams, np.ndarray]:
     """Exact gradients of the forward map for the traced inputs.
 
-    The parameter gradients are written into ``out``, a flat float64 vector
-    with the parameters' layout (a new one when None), and returned as its
-    views keyed like :data:`TENSOR_ORDER`, together with the gradient with
-    respect to the input (which includes the residual skip path).  The
-    input gradient and every temporary live in ``trace``'s buffers.
+    The parameter gradients are written into ``out``, a :class:`VPParams`
+    of the network's dimensions (a new one when None), which is returned
+    together with the gradient with respect to the input (which includes
+    the residual skip path).  The input gradient and every temporary live
+    in ``trace``'s buffers.
     """
     grad_output = np.asarray(grad_output, dtype=np.float64)
     g = np.atleast_2d(grad_output)
@@ -271,13 +248,15 @@ def backward(
     if g.shape != trace.z.shape:
         raise ValueError(f"grad_output shape {g.shape} != traced input {trace.z.shape}")
     if out is None:
-        out = np.empty(parameter_count(params.dim, params.hidden))
-    grads = trace.gradient_views(out, params.dim, params.hidden)
+        out = VPParams(params.dim, params.hidden, np.empty(params.flat.size))
+    elif (out.dim, out.hidden) != (params.dim, params.hidden):
+        raise ValueError(f"gradients for dim {out.dim}, hidden {out.hidden} do not fit "
+                         f"the network's dim {params.dim}, hidden {params.hidden}")
 
     du = trace.dz
     np.multiply(g, np.subtract(1.0, np.square(trace.residual, out=du), out=du), out=du)
-    np.matmul(du.T, trace.a3, out=grads["w4"])
-    np.add.reduce(du, axis=0, out=grads["b4"])
+    np.matmul(du.T, trace.a3, out=out.w4)
+    np.add.reduce(du, axis=0, out=out.b4)
     da = np.matmul(du, params.w4, out=trace.da)
     for i, a_in, a_out, xhat, inv, da_in in (
         ("3", trace.a2, trace.a3, trace.xhat3, trace.inv3, trace.da),
@@ -288,16 +267,16 @@ def backward(
         dy = np.multiply(da, np.greater(a_out, 0.0, out=trace.mask), out=da)
         du = _layernorm_backward(
             dy, xhat, inv, getattr(params, "gamma" + i),
-            grads["gamma" + i], grads["beta" + i], trace.du, trace.hid, trace.col,
+            getattr(out, "gamma" + i), getattr(out, "beta" + i), trace.du, trace.hid, trace.col,
         )
-        np.matmul(du.T, a_in, out=grads["w" + i])
-        np.add.reduce(du, axis=0, out=grads["b" + i])
+        np.matmul(du.T, a_in, out=getattr(out, "w" + i))
+        np.add.reduce(du, axis=0, out=getattr(out, "b" + i))
         da = np.matmul(du, getattr(params, "w" + i), out=da_in)
 
     grad_input = np.add(g, da, out=trace.dz)
     if trace.single:
         grad_input = grad_input[0]
-    return grads, grad_input
+    return out, grad_input
 
 
 def save_params(params: VPParams, path: str | Path) -> None:

@@ -117,7 +117,7 @@ def test_criterion_02_gradient_correctness():
             down, _ = forward(params, z)
             tensor[index] = orig
             numeric = (np.sum((up - t) ** 2) - np.sum((down - t) ** 2)) / (2 * h)
-            analytic = grads[name][index]
+            analytic = getattr(grads, name)[index]
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-3)
             worst = max(worst, rel)
             assert abs(analytic - numeric) <= 1e-8 + 1e-5 * max(

@@ -113,6 +113,28 @@ class TestErrorPaths:
         assert list(tmp_path.iterdir()) == [params]
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--rates", "300"], "LR rate must be >= 2 and <= 255, got 300"),
+        (["gen", "--rates", "1"], "LR rate must be >= 2 and <= 255, got 1"),
+        (["gen", "--alpha", "0=1"], "LR rate must be >= 2 and <= 255, got 0"),
+        (["gen", "--ids", "6", "--per-res", "3", "--rates", "2,2"],
+         "LR rates must be distinct, got [2, 2]"),
+        (["train", "--rates", "1"], "LR rate must be >= 2 and <= 255, got 1"),
+        (["train", "--rates", "2,300"], "LR rate must be >= 2 and <= 255, got 300"),
+        (["stats", "--rates", "0"], "LR rate must be >= 2 and <= 255, got 0"),
+        (["stats", "--rates", "2,256"], "LR rate must be >= 2 and <= 255, got 256"),
+    ], ids=["gen-300", "gen-1", "gen-alpha-0", "gen-repeated", "train-1", "train-300",
+            "stats-0", "stats-256"])
+    def test_bad_lr_rate_exits_1_without_output(self, synth_file, tmp_path, capsys, argv,
+                                                message):
+        data = [] if argv[0] == "gen" else ["--data", str(synth_file)]
+        if argv[0] == "train":  # a small network, should the rate pass unchecked
+            data += ["--hidden", "4", "--epochs", "1", "--pairs", "8"]
+        capsys.readouterr()
+        assert run(*argv, *data, "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_identity_in_csv_exits_1(self, tmp_path, capsys):
         data = tmp_path / "s.csv"
         data.write_text("dim=2\n-3,0,HR,1,2\n")

@@ -46,9 +46,10 @@ class TestResolution:
             assert Resolution.parse(str(Resolution(rate))) == Resolution(rate)
             assert Resolution.parse(f" {Resolution(rate)}\t") == Resolution(rate)
 
-    def test_rate_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            Resolution(1)
+    @pytest.mark.parametrize("rate", [1, -1, 256])
+    def test_rate_outside_lr_range_rejected(self, rate):
+        with pytest.raises(ValueError, match=f"^LR rate must be >= 2 and <= 255, got {rate}$"):
+            Resolution(rate)
 
     @pytest.mark.parametrize("tag", ["SD", "hr", "LRx", "LRx0", "LRx1", "LRx02", "LRx+2",
                                      "LRx1_0", "LRx 2", "LRx2.0", "LRx-2", "LRx256"])

@@ -19,7 +19,7 @@ from vpfa import trainer  # noqa: E402
 from vpfa.cli import dispatch  # noqa: E402
 from vpfa.embeddings import load_set  # noqa: E402
 from vpfa.synthgen import SynthConfig, generate  # noqa: E402
-from vpfa.vpnet import NetConfig  # noqa: E402
+from vpfa.vpnet import NetConfig, parameter_count  # noqa: E402
 
 TARGETS = [target for targets, _ in tracing.LAYER_FUNCTIONS.values() for target in targets]
 
@@ -46,6 +46,19 @@ def test_traced_training_records_the_pair_stages():
     names = {span.name for span in tracer.spans}
     assert {"trainer.build_prototype_pairs", "trainer.sample_training_pairs", "vpnet.forward",
             "vpnet.backward", "trainer.adam_step", "embeddings.partition"} <= names
+
+
+def test_traced_training_counts_adam_bytes_per_parameter_and_step():
+    s = generate(SynthConfig(dim=4, num_identities=3, samples_per_res=2, seed=1))
+    tracer = tracing.Tracer()
+    with tracer.installed("t"):
+        trainer.train(s, NetConfig(dim=4, hidden=3),
+                      trainer.TrainConfig(epochs=2, num_pairs=10, batch_size=4))
+    metrics = tracer.layer_metrics()
+    steps = 2 * 3  # epochs x ceil(10 pairs / batch of 4)
+    assert metrics["trainer.adam_step.calls"] == metrics["vpnet.backward.calls"] == steps
+    assert metrics["trainer.adam_step.bytes"] == 7 * 8 * parameter_count(4, 3) * steps
+    assert metrics["vpnet.init_params.calls"] == 1
 
 
 def test_record_flags_of_a_loaded_set_equal_its_rates(tmp_path):

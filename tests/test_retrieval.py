@@ -343,6 +343,26 @@ class TestEvaluateMatchesReference:
             evaluate(query, gallery, metric="euclidean")
         assert not recwarn.list
 
+    @pytest.mark.parametrize("big", [1e200, -1e200])
+    def test_one_non_finite_euclidean_entry_rejected(self, big, recwarn):
+        # entry (0, 0) is inf - inf + inf = NaN (big == 1e200) or inf; (1, 1) is finite
+        query = np.array([[1e200, 0.0], [1.0, 0.0]])
+        gallery = np.array([[big, 0.0], [2.0, 0.0]])
+        with pytest.raises(DataError, match="overflow"):
+            retrieval._scores(query, gallery, "euclidean")
+        assert not recwarn.list
+
+    def test_euclidean_scores_peak_at_one_score_matrix(self):
+        rng = np.random.default_rng(3)
+        query, gallery = rng.standard_normal((2, 2000, 16))
+        tracemalloc.start()
+        try:
+            retrieval._scores(query, gallery, "euclidean")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 2000 * 2000 * 8
+
     @pytest.mark.parametrize("m", [1, 7, 8, 15, 16, 31, 64])
     def test_relevant_counts_around_powers_of_two(self, m):
         rng = np.random.default_rng(m)

@@ -411,11 +411,11 @@ class TestEqualsTheRecordWalk:
         got = grouped_pearson(self.set, 2, num_ids, group_size, seed=4)
         assert got == walk_pearson(self.set, 2, num_ids, group_size, seed=4)
 
-    def test_rate_0_pairs_no_lr_rows(self):
-        with pytest.raises(DataError, match="got 0"):
-            split_cosine(self.set, 0)
-        with pytest.raises(DataError, match="no identities"):
-            cca_with_random_baseline(self.set, 0)
+    @pytest.mark.parametrize("rate", [0, 1, 256])
+    def test_rate_outside_lr_range_rejected(self, rate):
+        for analysis in (split_cosine, cca_with_random_baseline, grouped_pearson):
+            with pytest.raises(ValueError, match=f"^LR rate must be >= 2 and <= 255, got {rate}$"):
+                analysis(self.set, rate)
 
     def test_lr_rates(self):
         assert lr_rates(self.set) == [2, 3]

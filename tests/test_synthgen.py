@@ -44,6 +44,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SynthConfig(samples_per_res=1)
 
+    @pytest.mark.parametrize("rates, message", [
+        ((1,), "LR rate must be >= 2 and <= 255, got 1"),
+        ((2, 256), "LR rate must be >= 2 and <= 255, got 256"),
+        ((2, 3, 2), r"LR rates must be distinct, got \[2, 3, 2\]"),
+    ])
+    def test_rates_are_distinct_lr_rates(self, rates, message):
+        with pytest.raises(ValueError, match=message):
+            SynthConfig(rates=rates, shift_magnitude={r: 1.0 for r in rates})
+
     def test_every_rate_needs_a_shift(self):
         with pytest.raises(ValueError, match="rate 3"):
             SynthConfig(rates=(2, 3), shift_magnitude={2: 1.0})

@@ -18,7 +18,7 @@ from vpfa.trainer import (
     train,
     vpl_loss,
 )
-from vpfa.vpnet import TENSOR_ORDER, NetConfig, backward, forward, init_from_config
+from vpfa.vpnet import TENSOR_ORDER, NetConfig, VPParams, backward, forward, init_params
 
 
 def tiny_set():
@@ -71,6 +71,11 @@ class TestBuildPrototypePairs:
         only2_ids, only2, _, _ = build_prototype_pairs(s, rates=[2])
         assert len(pooled_ids) == len(only2_ids) == 3
         assert not np.allclose(pooled[0], only2[0])
+
+    @pytest.mark.parametrize("rates", [[0], [1], [2, 256]])
+    def test_rate_outside_lr_range_rejected(self, rates):
+        with pytest.raises(ValueError, match=f"^LR rate must be >= 2 and <= 255, got {rates[-1]}$"):
+            build_prototype_pairs(tiny_set(), rates)
 
     def test_no_qualifying_identity_is_an_error(self):
         s = tiny_set()
@@ -347,8 +352,9 @@ def reference_train(eset, net_cfg, cfg):
     """The training loop with allocating forward/backward calls, step by step."""
     ids, *_ = build_prototype_pairs(eset)
     _, z_lr, z_hr = sample_training_pairs(ids, eset, cfg)
-    params = init_from_config(net_cfg)
-    theta, grads = {"theta": params.flat}, {"theta": np.empty_like(params.flat)}
+    params = init_params(net_cfg.dim, net_cfg.hidden, net_cfg.init_std, net_cfg.seed)
+    grads = VPParams(net_cfg.dim, net_cfg.hidden, np.empty_like(params.flat))
+    theta, dtheta = {"theta": params.flat}, {"theta": grads.flat}
     state = AdamState.zeros_like(theta)
     order_rng = np.random.default_rng([cfg.seed, 1])
     num = z_lr.shape[0]
@@ -361,9 +367,9 @@ def reference_train(eset, net_cfg, cfg):
             zhat, trace = forward(params, z_lr[idx])
             diff = zhat - z_hr[idx]
             total += float(np.sum(diff * diff))
-            backward(params, trace, (2.0 / idx.size) * diff, out=grads["theta"])
+            backward(params, trace, (2.0 / idx.size) * diff, out=grads)
             t += 1
-            adam_step(theta, grads, state, lr=cfg.learning_rate, wd=cfg.weight_decay, t=t)
+            adam_step(theta, dtheta, state, lr=cfg.learning_rate, wd=cfg.weight_decay, t=t)
         losses.append(total / num)
     return params, losses
 
@@ -376,7 +382,7 @@ class TestTrain:
     def test_zero_epochs_returns_init_params(self):
         cfg = TrainConfig(epochs=0, num_pairs=50, seed=1)
         params, log = train(self.set, self.net_cfg, cfg)
-        init = init_from_config(self.net_cfg)
+        init = init_params(64, 64, seed=0)
         for name in TENSOR_ORDER:
             assert getattr(params, name).tobytes() == getattr(init, name).tobytes()
         assert log.epoch_loss == []

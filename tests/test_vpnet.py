@@ -92,25 +92,39 @@ class TestFlatLayout:
         p.flat[:] = np.arange(p.flat.size)
         assert p.w1[0, 0] == 0.0 and p.b4[-1] == p.flat.size - 1
 
+    def test_layout_order_is_the_file_format(self):
+        assert TENSOR_ORDER == ("w1", "b1", "gamma1", "beta1", "w2", "b2", "gamma2", "beta2",
+                                "w3", "b3", "gamma3", "beta3", "w4", "b4")
+
     def test_flat_size_must_match_dims(self):
         with pytest.raises(ValueError, match="shape"):
             VPParams(4, 3, np.zeros(parameter_count(4, 3) + 1))
 
-    def test_gradients_written_into_given_buffer(self):
+    def test_gradients_written_into_given_params(self):
         rng = np.random.default_rng(6)
         p = init_params(5, 4, init_std=0.3, seed=9)
         _, trace = forward(p, rng.standard_normal((3, 5)))
         grad_out = rng.standard_normal((3, 5))
         fresh, fresh_input = backward(p, trace, grad_out)
+        assert isinstance(fresh, VPParams) and (fresh.dim, fresh.hidden) == (5, 4)
+        fresh_flat = fresh.flat.copy()
         buf = np.full(p.flat.size, np.nan)
-        grads, grad_input = backward(p, trace, grad_out, out=buf)
-        joined = np.concatenate([fresh[name].ravel() for name in TENSOR_ORDER])
-        assert buf.tobytes() == joined.tobytes()
+        out = VPParams(5, 4, buf)
+        grads, grad_input = backward(p, trace, grad_out, out=out)
+        assert grads is out and grads.flat is buf
+        assert buf.tobytes() == fresh_flat.tobytes()
+        joined = np.concatenate([t.ravel() for t in grads.tensors().values()])
+        assert joined.tobytes() == buf.tobytes()
         assert grad_input.tobytes() == fresh_input.tobytes()
-        for name in TENSOR_ORDER:
-            assert np.shares_memory(grads[name], buf)
-        with pytest.raises(ValueError, match="shape"):
-            backward(p, trace, grad_out, out=np.zeros(p.flat.size - 1))
+
+    @pytest.mark.parametrize("dim, hidden", [(5, 3), (4, 4), (6, 4)])
+    def test_gradients_of_other_dims_rejected(self, dim, hidden):
+        p = init_params(5, 4, init_std=0.3, seed=9)
+        _, trace = forward(p, np.ones((2, 5)))
+        out = VPParams(dim, hidden, np.zeros(parameter_count(dim, hidden)))
+        with pytest.raises(ValueError, match="do not fit"):
+            backward(p, trace, np.ones((2, 5)), out=out)
+        assert not np.any(out.flat)
 
 
 class TestLayerNorm:
@@ -193,7 +207,7 @@ class TestBackward:
         z = np.random.default_rng(8).standard_normal(4)
         _, trace = forward(p, z)
         grads, grad_input = backward(p, trace, np.zeros(4))
-        assert all(not np.any(g) for g in grads.values())
+        assert not np.any(grads.flat)
         assert not np.any(grad_input)
 
     def test_bias_gradient_at_zero_initialization(self):
@@ -204,8 +218,8 @@ class TestBackward:
         z = rng.standard_normal(5)
         t = rng.standard_normal(5)
         loss, grads, _ = loss_and_grad(p, z, t)
-        np.testing.assert_allclose(grads["b4"], 2.0 * (z - t), atol=1e-12)
-        assert not np.any(grads["w4"])  # hidden path is all zeros
+        np.testing.assert_allclose(grads.b4, 2.0 * (z - t), atol=1e-12)
+        assert not np.any(grads.w4)  # hidden path is all zeros
 
     def test_every_parameter_matches_finite_differences(self):
         # relative error < 1e-5 with a 1e-8 absolute floor: gradients of
@@ -217,7 +231,7 @@ class TestBackward:
         t = rng.standard_normal(4)
         _, grads, _ = loss_and_grad(p, z, t)
         for name in TENSOR_ORDER:
-            analytic = grads[name]
+            analytic = getattr(grads, name)
             for index in np.ndindex(analytic.shape):
                 numeric = numeric_grad(p, z, t, name, index)
                 scale = max(abs(analytic[index]), abs(numeric))
@@ -249,14 +263,11 @@ class TestBackward:
         gout = rng.standard_normal((3, 4))
         _, trace = forward(p, batch)
         batch_grads, _ = backward(p, trace, gout)
-        summed = {name: np.zeros_like(batch_grads[name]) for name in TENSOR_ORDER}
+        summed = np.zeros_like(batch_grads.flat)
         for i in range(3):
             _, tr = forward(p, batch[i])
-            g, _ = backward(p, tr, gout[i])
-            for name in TENSOR_ORDER:
-                summed[name] += g[name]
-        for name in TENSOR_ORDER:
-            np.testing.assert_allclose(batch_grads[name], summed[name], atol=1e-12)
+            summed += backward(p, tr, gout[i])[0].flat
+        np.testing.assert_allclose(batch_grads.flat, summed, atol=1e-12)
 
     def test_stale_trace_rejected(self):
         p_small = init_params(4, 3)
@@ -277,7 +288,7 @@ class TestBackward:
 def fresh_step(p, z, gout):
     zhat, trace = forward(p, z)
     grads, grad_input = backward(p, trace, gout)
-    return zhat.copy(), {k: v.copy() for k, v in grads.items()}, grad_input.copy()
+    return zhat.copy(), grads.flat.copy(), grad_input.copy()
 
 
 class TestWorkspace:
@@ -292,11 +303,12 @@ class TestWorkspace:
         gout = self.rng.standard_normal((rows, 16))
         zhat, got_trace = forward(self.p, z, trace)
         assert got_trace is trace and np.shares_memory(zhat, trace.zhat)
-        grads, grad_input = backward(self.p, trace, gout, out=np.empty(self.p.flat.size))
+        out = VPParams(16, 12, np.empty(self.p.flat.size))
+        grads, grad_input = backward(self.p, trace, gout, out=out)
         ref_zhat, ref_grads, ref_input = fresh_step(self.p, z, gout)
+        assert grads is out
         assert np.array_equal(zhat, ref_zhat)
-        for name in TENSOR_ORDER:
-            assert np.array_equal(grads[name], ref_grads[name]), name
+        assert np.array_equal(grads.flat, ref_grads)
         assert np.array_equal(grad_input, ref_input)
 
     @pytest.mark.parametrize("rows", [32, 8, 1])
@@ -319,7 +331,7 @@ class TestWorkspace:
         grads, grad_input = backward(self.p, trace, np.ones(16))
         ref_zhat, ref_grads, ref_input = fresh_step(self.p, z, np.ones(16))
         assert np.array_equal(zhat, ref_zhat) and np.array_equal(grad_input, ref_input)
-        assert all(np.array_equal(grads[k], ref_grads[k]) for k in TENSOR_ORDER)
+        assert np.array_equal(grads.flat, ref_grads)
 
     def test_mismatched_workspace_rejected(self):
         with pytest.raises(ValueError, match="trace"):
@@ -334,11 +346,11 @@ class TestWorkspace:
         p = init_params(dim, hidden, init_std=0.1, seed=3)
         trace = ForwardTrace.allocate(rows, dim, hidden)
         z = self.rng.standard_normal((rows, dim))
-        gout, flat = np.ones((rows, dim)), np.empty(p.flat.size)
-        backward(p, forward(p, z, trace)[1], gout, out=flat)  # views cut once
+        gout, grads = np.ones((rows, dim)), VPParams(dim, hidden, np.empty(p.flat.size))
+        backward(p, forward(p, z, trace)[1], gout, out=grads)
         tracemalloc.start()
         try:
-            backward(p, forward(p, z, trace)[1], gout, out=flat)
+            backward(p, forward(p, z, trace)[1], gout, out=grads)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -401,11 +413,3 @@ class TestPersistence:
         p = init_params(6, 4)
         for name in TENSOR_ORDER:
             assert getattr(p, name).shape == shapes[name]
-
-    def test_copy_is_deep(self):
-        p = init_params(3, 2, init_std=0.1, seed=18)
-        q = p.copy()
-        q.w1[0, 0] += 1.0
-        assert p.w1[0, 0] != q.w1[0, 0]
-        assert not np.shares_memory(p.flat, q.flat)
-        assert q.w1.base is not None and np.shares_memory(q.w1, q.flat)
