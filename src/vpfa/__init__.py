@@ -12,5 +12,5 @@ from .embeddings import (  # noqa: F401
 )
 from .errors import DataError, FormatError, VpfaError  # noqa: F401
 from .synthgen import SynthConfig, generate, planted_direction  # noqa: F401
-from .trainer import TrainConfig, TrainLog, train  # noqa: F401
+from .trainer import TrainConfig, TrainLog, train, training_pairs  # noqa: F401
 from .vpnet import NetConfig, VPParams, init_params, load_params, save_params  # noqa: F401

@@ -26,7 +26,7 @@ from .retrieval import (
 )
 from .stats import analyze_set
 from .synthgen import SynthConfig, generate
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, train, training_pairs
 from .vpnet import NetConfig, load_params, parameter_count, save_params
 
 STATS_TABLES = ("split_cosine", "cca", "pearson")  # the --csv-prefix tables, in write order
@@ -310,7 +310,11 @@ def _cmd_train(args: argparse.Namespace, outputs: list[str]) -> None:
         seed=args.train_seed,
         bootstrap_fraction=args.bootstrap_frac,
     )
-    params, log = train(eset, net_cfg, cfg, rates=args.rates)
+    z_lr, z_hr = training_pairs(eset, cfg, rates=args.rates)
+    # The optimizer never reads the set: free it before train allocates the
+    # parameters, gradients and two moments (4 x 193 MB at the paper's shape).
+    del eset
+    params, log = train(z_lr, z_hr, net_cfg, cfg)
     save_params(params, args.out)
     _write_lines(outputs[1], ["epoch,mean_loss"] + [
         f"{epoch},{loss:.17g}" for epoch, loss in enumerate(log.epoch_loss, start=1)

@@ -52,6 +52,14 @@ def check_lr_rate(rate: int) -> int:
     return rate
 
 
+def check_lr_rates(rates: Sequence[int]) -> list[int]:
+    """``rates`` as a list if they are distinct LR rates; a ValueError otherwise."""
+    rates = list(rates)
+    if len(set(rates)) != len(rates):
+        raise ValueError(f"LR rates must be distinct, got {rates}")
+    return [check_lr_rate(rate) for rate in rates]
+
+
 @dataclass(frozen=True, order=True)
 class Resolution:
     """Resolution tag: HR when ``rate == 0``, else downsampled by ``rate``."""

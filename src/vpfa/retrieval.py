@@ -23,7 +23,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, Resolution
 from .errors import DataError
-from .vpnet import VPParams, forward
+from .vpnet import ForwardTrace, VPParams, forward
 
 RANK_KS = (1, 5, 10)
 EVAL_BLOCK = 1 << 16
@@ -58,7 +58,9 @@ def apply_panning(
     """New set with selected vectors replaced by the network output.
 
     ``target`` is ``lr`` (default: only LR records are panned, HR records
-    are reused untouched) or ``all``.
+    are reused untouched) or ``all``.  The selected rows go through one
+    :func:`forward` call in a forward-only workspace, which is freed before
+    the new set is built.
     """
     if params.dim != eset.dim:
         raise ValueError(f"params dim {params.dim} != set dim {eset.dim}")
@@ -66,8 +68,11 @@ def apply_panning(
         raise ValueError(f"unknown target {target!r}")
     selected = eset.rate_array != 0 if target == "lr" else np.ones(len(eset), dtype=bool)
     out = eset.matrix.copy()
-    if selected.any():
-        out[selected], _ = forward(params, eset.matrix[selected])
+    rows = int(np.count_nonzero(selected))
+    if rows:
+        # one call over every selected row: its matmul shapes fix the output bits
+        out[selected] = forward(params, eset.matrix[selected],
+                                ForwardTrace.forward_only(rows, params.dim, params.hidden))[0]
     # The set rejects non-finite rows, so a network that overflows fails here.
     return EmbeddingSet(
         out, eset.identity_array, eset.camera_array, eset.rate_array, eset.source_label

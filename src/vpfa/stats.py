@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, Resolution, check_lr_rate, half_split_identities
+from .embeddings import (
+    EmbeddingSet,
+    Resolution,
+    check_lr_rate,
+    check_lr_rates,
+    half_split_identities,
+)
 from .errors import DataError
 
 
@@ -287,8 +293,7 @@ def analyze_set(
     seed: int = 0,
 ) -> StatsReport:
     """All three analyses for every requested (or present) LR rate."""
-    if rates is None:
-        rates = lr_rates(eset)
+    rates = lr_rates(eset) if rates is None else check_lr_rates(rates)
     if not rates:
         raise DataError("set contains no LR records")
     split = {}

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, check_lr_rate
+from .embeddings import EmbeddingSet, check_lr_rates
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,7 @@ class SynthConfig:
             raise ValueError("need at least one camera")
         if min(self.id_spread, self.sample_noise, self.shift_noise) < 0:
             raise ValueError("noise scales must be non-negative")
-        if len(set(self.rates)) != len(self.rates):
-            raise ValueError(f"LR rates must be distinct, got {list(self.rates)}")
-        for rate in self.rates:
-            check_lr_rate(rate)
+        for rate in check_lr_rates(self.rates):
             if rate not in self.shift_magnitude:
                 raise ValueError(f"no shift magnitude given for rate {rate}")
         if any(v < 0 for v in self.shift_magnitude.values()):

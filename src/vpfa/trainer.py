@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import vpnet
-from .embeddings import EmbeddingSet, check_lr_rate
+from .embeddings import EmbeddingSet, check_lr_rates
 from .errors import DataError
 from .stats import cosine
 from .vpnet import ForwardTrace, NetConfig, VPParams, backward, forward
@@ -57,7 +57,7 @@ def _lr_mask(eset: EmbeddingSet, rates: list[int] | None) -> np.ndarray:
     """The LR rows at ``rates`` (at every LR rate when None)."""
     if rates is None:
         return eset.rate_array != 0
-    return np.isin(eset.rate_array, [check_lr_rate(rate) for rate in rates])
+    return np.isin(eset.rate_array, check_lr_rates(rates))
 
 
 def build_prototype_pairs(
@@ -202,24 +202,38 @@ def adam_step(
     return tensors, state
 
 
-def train(
-    eset: EmbeddingSet,
-    net_cfg: NetConfig,
-    cfg: TrainConfig,
-    rates: list[int] | None = None,
-) -> tuple[VPParams, TrainLog]:
-    """Mini-batch training over sampled prototype pairs.
-
-    Deterministic given (net_cfg.seed, cfg.seed): the pair sample comes
-    from ``default_rng(cfg.seed)`` and the per-epoch batch order from the
-    derived stream ``default_rng([cfg.seed, 1])``.  Batch loss is the mean
-    per-pair alignment error.
-    """
-    if net_cfg.dim != eset.dim:
-        raise ValueError(f"network dim {net_cfg.dim} != data dim {eset.dim}")
-    start = time.perf_counter()
+def training_pairs(
+    eset: EmbeddingSet, cfg: TrainConfig, rates: list[int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (cfg.num_pairs, dim) LR and HR means that :func:`train` fits:
+    the identities :func:`build_prototype_pairs` pairs, drawn by
+    :func:`sample_training_pairs` from ``default_rng(cfg.seed)``.  ``rates``
+    must be distinct LR rates (both calls check them with
+    :func:`~vpfa.embeddings.check_lr_rates`).  The arrays are new, so the
+    set may be freed before training."""
     identities, *_ = build_prototype_pairs(eset, rates)
     _, z_lr, z_hr = sample_training_pairs(identities, eset, cfg, rates)
+    return z_lr, z_hr
+
+
+def train(
+    z_lr: np.ndarray, z_hr: np.ndarray, net_cfg: NetConfig, cfg: TrainConfig
+) -> tuple[VPParams, TrainLog]:
+    """Mini-batch training that maps each row of ``z_lr`` to the same row
+    of ``z_hr`` (for example the pairs of :func:`training_pairs`).
+
+    Deterministic given the pairs and net_cfg.seed: the per-epoch batch
+    order comes from the stream ``default_rng([cfg.seed, 1])``.  Batch loss
+    is the mean per-pair alignment error.  ``cfg.num_pairs`` is not read;
+    every given pair is used.
+    """
+    z_lr, z_hr = (np.asarray(z, dtype=np.float64) for z in (z_lr, z_hr))
+    if z_lr.ndim != 2 or z_lr.shape != z_hr.shape or not len(z_lr):
+        raise ValueError(f"pairs must be two (pairs, dim) arrays of one shape with at least "
+                         f"one pair, got {z_lr.shape} and {z_hr.shape}")
+    if net_cfg.dim != z_lr.shape[1]:
+        raise ValueError(f"network dim {net_cfg.dim} != data dim {z_lr.shape[1]}")
+    start = time.perf_counter()
 
     # through the module, where tracers (perfbench/tracing.py) wrap init_params
     params = vpnet.init_params(net_cfg.dim, net_cfg.hidden, net_cfg.init_std, net_cfg.seed)

@@ -57,12 +57,13 @@ def parameter_count(dim: int, hidden: int) -> int:
     return sum(math.prod(shape) for shape in tensor_shapes(dim, hidden).values())
 
 
-@dataclass
+@dataclass(eq=False)
 class VPParams:
     """Parameters, or their gradients, in one contiguous float64 vector
     ``flat``.  The named tensors ``w1``, ``b1``, ... ``b4`` are row-major
     views cut from it back to back in TENSOR_ORDER, the layout of the
-    parameter file's body."""
+    parameter file's body.  Two are equal when ``dim``, ``hidden`` and every
+    byte of ``flat`` are equal; they are mutable, so not hashable."""
 
     dim: int
     hidden: int
@@ -79,6 +80,12 @@ class VPParams:
             size = math.prod(shape)
             setattr(self, name, self.flat[offset : offset + size].reshape(shape))
             offset += size
+
+    def __eq__(self, other: object) -> bool:
+        # bitwise, as the parameter file compares: -0.0 differs from 0.0, a NaN equals itself
+        return (isinstance(other, VPParams)
+                and (self.dim, self.hidden) == (other.dim, other.hidden)
+                and np.array_equal(self.flat.view(np.uint64), other.flat.view(np.uint64)))
 
     def tensors(self) -> dict[str, np.ndarray]:
         """The named tensors in TENSOR_ORDER (live views of ``flat``)."""
@@ -152,7 +159,9 @@ class ForwardTrace:
     serves any number of steps without allocating; :meth:`head` gives the
     same buffers for a shorter batch.  Each call that is given a trace
     overwrites its buffers, and with them the arrays the previous call
-    returned.  ``z`` is the traced input itself, not a copy.
+    returned.  ``z`` is the traced input itself, not a copy.  A workspace
+    made by :meth:`forward_only` shares buffers between layers and has no
+    backward buffers (they are None).
     """
 
     xhat1: np.ndarray     # (rows, hidden) normalized pre-activations
@@ -167,11 +176,11 @@ class ForwardTrace:
     residual: np.ndarray  # (rows, dim) tanh correction
     zhat: np.ndarray      # (rows, dim) output
     hid: np.ndarray       # (rows, hidden) scratch
-    col: np.ndarray       # (rows, 1) scratch
-    da: np.ndarray        # (rows, hidden) gradient wrt a block output
-    du: np.ndarray        # (rows, hidden) gradient wrt a pre-activation
-    mask: np.ndarray      # (rows, hidden) bool, ReLU mask
-    dz: np.ndarray        # (rows, dim) head gradient, then input gradient
+    col: np.ndarray | None   # (rows, 1) scratch
+    da: np.ndarray | None    # (rows, hidden) gradient wrt a block output
+    du: np.ndarray | None    # (rows, hidden) gradient wrt a pre-activation
+    mask: np.ndarray | None  # (rows, hidden) bool, ReLU mask
+    dz: np.ndarray | None    # (rows, dim) head gradient, then input gradient
     z: np.ndarray | None = None  # (rows, dim) traced input, set by forward
     single: bool = False
 
@@ -183,6 +192,20 @@ class ForwardTrace:
         return cls(**{name: np.empty((rows, widths.get(name, hidden)),
                                      dtype=bool if name == "mask" else np.float64)
                       for name in _BUFFERS})
+
+    @classmethod
+    def forward_only(cls, rows: int, dim: int, hidden: int) -> "ForwardTrace":
+        """Inference buffers for batches of ``rows`` inputs: four of hidden
+        width and one of input width.  The three layers share one
+        normalized-activation buffer and one inverse-std column, their
+        outputs alternate between two buffers, and the output is written
+        over the tanh correction.  Only the forward values are kept, so
+        :func:`backward` refuses this workspace."""
+        xhat, a_odd, a_even, hid = np.empty((4, rows, hidden))
+        inv, out = np.empty((rows, 1)), np.empty((rows, dim))
+        return cls(xhat1=xhat, inv1=inv, a1=a_odd, xhat2=xhat, inv2=inv, a2=a_even,
+                   xhat3=xhat, inv3=inv, a3=a_odd, residual=out, zhat=out, hid=hid,
+                   col=None, da=None, du=None, mask=None, dz=None)
 
     def head(self, rows: int) -> "ForwardTrace":
         """A trace over the first ``rows`` rows of these buffers."""
@@ -198,9 +221,10 @@ def forward(
     """Apply the panning network; returns the output and a backward trace.
 
     ``trace`` is a workspace from :meth:`ForwardTrace.allocate` (or its
-    :meth:`~ForwardTrace.head`) with one row per input row, which is
-    filled in place and returned; the output is its ``zhat``.  Without
-    one, a trace is allocated for ``z``.
+    :meth:`~ForwardTrace.head`) or :meth:`ForwardTrace.forward_only` with
+    one row per input row, which is filled in place and returned; the
+    output is its ``zhat``.  Without one, a full trace is allocated for
+    ``z``.  Every workspace gives the same output bits.
     """
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
@@ -241,6 +265,8 @@ def backward(
     the residual skip path).  The input gradient and every temporary live
     in ``trace``'s buffers.
     """
+    if trace.dz is None:
+        raise ValueError("a forward-only workspace keeps no values for backward")
     grad_output = np.asarray(grad_output, dtype=np.float64)
     g = np.atleast_2d(grad_output)
     if trace.z.shape[1] != params.dim or trace.a1.shape[1] != params.hidden:
@@ -283,7 +309,8 @@ def save_params(params: VPParams, path: str | Path) -> None:
     """Write the header, then the flat parameter vector verbatim (bit-exact reload)."""
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sIII", PARAMS_MAGIC, PARAMS_VERSION, params.dim, params.hidden))
-        fh.write(params.flat.astype("<f8", copy=False).tobytes())
+        # from the vector's own buffer (astype copies only on big-endian hosts)
+        fh.write(params.flat.astype("<f8", copy=False).data)
 
 
 def load_params(path: str | Path) -> VPParams:

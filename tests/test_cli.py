@@ -123,8 +123,10 @@ class TestErrorPaths:
         (["train", "--rates", "2,300"], "LR rate must be >= 2 and <= 255, got 300"),
         (["stats", "--rates", "0"], "LR rate must be >= 2 and <= 255, got 0"),
         (["stats", "--rates", "2,256"], "LR rate must be >= 2 and <= 255, got 256"),
+        (["train", "--rates", "2,2"], "LR rates must be distinct, got [2, 2]"),
+        (["stats", "--rates", "2,2"], "LR rates must be distinct, got [2, 2]"),
     ], ids=["gen-300", "gen-1", "gen-alpha-0", "gen-repeated", "train-1", "train-300",
-            "stats-0", "stats-256"])
+            "stats-0", "stats-256", "train-repeated", "stats-repeated"])
     def test_bad_lr_rate_exits_1_without_output(self, synth_file, tmp_path, capsys, argv,
                                                 message):
         data = [] if argv[0] == "gen" else ["--data", str(synth_file)]
@@ -382,6 +384,30 @@ class TestTrainApplyEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
+
+    def test_train_frees_the_set_before_the_parameters_exist(self, synth_file, tmp_path,
+                                                              monkeypatch):
+        import weakref
+
+        from vpfa import cli, vpnet
+
+        loaded, alive_at_init = [], []
+        vpnet_init = vpnet.init_params
+
+        def load_set(*args):
+            eset = embeddings.load_set(*args)
+            loaded.append(weakref.ref(eset))
+            return eset
+
+        def init_params(*args):
+            alive_at_init.append(loaded[0]() is not None)
+            return vpnet_init(*args)
+
+        monkeypatch.setattr(cli, "load_set", load_set)
+        monkeypatch.setattr(vpnet, "init_params", init_params)
+        assert run("train", "--data", str(synth_file), "--hidden", "4", "--epochs", "1",
+                   "--pairs", "8", "--out", str(tmp_path / "p.vpnp")) == 0
+        assert len(loaded) == 1 and alive_at_init == [False]
 
     def test_train_is_reproducible(self, synth_file, tmp_path):
         out1 = tmp_path / "a.vpnp"

@@ -9,6 +9,7 @@ from vpfa import embeddings
 from vpfa.embeddings import (
     EmbeddingSet,
     Resolution,
+    check_lr_rates,
     half_split_identities,
     load_set,
     save_set,
@@ -50,6 +51,18 @@ class TestResolution:
     def test_rate_outside_lr_range_rejected(self, rate):
         with pytest.raises(ValueError, match=f"^LR rate must be >= 2 and <= 255, got {rate}$"):
             Resolution(rate)
+
+    @pytest.mark.parametrize("rates, message", [
+        ([2, 3, 2], r"LR rates must be distinct, got \[2, 3, 2\]"),
+        ((1, 1), r"LR rates must be distinct, got \[1, 1\]"),  # repeats are reported first
+        ([3, 1], "LR rate must be >= 2 and <= 255, got 1"),
+    ])
+    def test_rate_lists_are_distinct_lr_rates(self, rates, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_lr_rates(rates)
+
+    def test_rate_list_returned_as_a_list(self):
+        assert check_lr_rates((4, 2)) == [4, 2] and check_lr_rates([]) == []
 
     @pytest.mark.parametrize("tag", ["SD", "hr", "LRx", "LRx0", "LRx1", "LRx02", "LRx+2",
                                      "LRx1_0", "LRx 2", "LRx2.0", "LRx-2", "LRx256"])

@@ -41,7 +41,8 @@ def test_traced_training_records_the_pair_stages():
     s = generate(SynthConfig(dim=4, num_identities=3, samples_per_res=2, seed=1))
     tracer = tracing.Tracer()
     with tracer.installed("t"):
-        trainer.train(s, NetConfig(dim=4, hidden=4), trainer.TrainConfig(epochs=1, num_pairs=4))
+        cfg = trainer.TrainConfig(epochs=1, num_pairs=4)
+        trainer.train(*trainer.training_pairs(s, cfg), NetConfig(dim=4, hidden=4), cfg)
         s.partition(s.rate_array == 0)
     names = {span.name for span in tracer.spans}
     assert {"trainer.build_prototype_pairs", "trainer.sample_training_pairs", "vpnet.forward",
@@ -52,8 +53,8 @@ def test_traced_training_counts_adam_bytes_per_parameter_and_step():
     s = generate(SynthConfig(dim=4, num_identities=3, samples_per_res=2, seed=1))
     tracer = tracing.Tracer()
     with tracer.installed("t"):
-        trainer.train(s, NetConfig(dim=4, hidden=3),
-                      trainer.TrainConfig(epochs=2, num_pairs=10, batch_size=4))
+        cfg = trainer.TrainConfig(epochs=2, num_pairs=10, batch_size=4)
+        trainer.train(*trainer.training_pairs(s, cfg), NetConfig(dim=4, hidden=3), cfg)
     metrics = tracer.layer_metrics()
     steps = 2 * 3  # epochs x ceil(10 pairs / batch of 4)
     assert metrics["trainer.adam_step.calls"] == metrics["vpnet.backward.calls"] == steps

@@ -15,7 +15,7 @@ from vpfa.retrieval import (
     project_2d,
 )
 from vpfa.synthgen import SynthConfig, generate
-from vpfa.trainer import TrainConfig, train
+from vpfa.trainer import TrainConfig, train, training_pairs
 from vpfa.vpnet import NetConfig, forward, init_params
 
 HR = Resolution(0)
@@ -88,17 +88,44 @@ class TestApplyPanning:
         with pytest.raises(ValueError, match="dim"):
             apply_panning(init_params(16, 8), s)
 
-    def test_rows_equal_one_forward_of_the_selected_rows(self):
-        s = generate(SynthConfig(dim=8, num_identities=6, rates=(2, 3),
+    @pytest.mark.parametrize("dim, hidden", [(8, 4), (4, 16)])
+    @pytest.mark.parametrize("rows", ["lr", "all", "one_lr", "no_lr"])
+    def test_rows_equal_one_forward_of_the_selected_rows(self, dim, hidden, rows):
+        s = generate(SynthConfig(dim=dim, num_identities=6, rates=(2, 3),
                                  shift_magnitude={2: 1.0, 3: 2.0}, seed=4))
-        params = init_params(8, 4, init_std=0.5, seed=5)
-        for target, chosen in (("lr", s.rate_array != 0), ("all", np.ones(len(s), bool))):
-            out = apply_panning(params, s, target=target)
-            expected = s.matrix.copy()
-            expected[chosen] = forward(params, s.matrix[chosen])[0]
-            assert out.matrix.tobytes() == expected.tobytes()
-            for name in ("identity_array", "camera_array", "rate_array"):
-                assert getattr(out, name).tobytes() == getattr(s, name).tobytes()
+        if rows == "one_lr":  # the HR records and the first LR record
+            s = s.partition((s.rate_array == 0) | (np.arange(len(s)) == np.argmax(s.rate_array)))
+        elif rows == "no_lr":
+            s = s.partition(s.rate_array == 0)
+        target = "all" if rows == "all" else "lr"
+        chosen = np.ones(len(s), bool) if target == "all" else s.rate_array != 0
+        params = init_params(dim, hidden, init_std=0.5, seed=5)
+        out = apply_panning(params, s, target=target)
+        expected = s.matrix.copy()
+        if chosen.any():
+            zhat, trace = forward(params, s.matrix[chosen])
+            assert trace.dz is not None  # the full trace that backward reads
+            expected[chosen] = zhat
+        assert out.matrix.tobytes() == expected.tobytes()
+        for name in ("identity_array", "camera_array", "rate_array"):
+            assert getattr(out, name).tobytes() == getattr(s, name).tobytes()
+
+    def test_peak_memory_is_output_rows_and_a_forward_only_workspace(self):
+        dim, hidden = 96, 256
+        s = generate(SynthConfig(dim=dim, num_identities=40, samples_per_res=8, seed=8))
+        params = init_params(dim, hidden, init_std=0.1, seed=9)
+        rows = int(np.count_nonzero(s.rate_array))
+        tracemalloc.start()
+        try:
+            apply_panning(params, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the output copy, the selected input rows, and a workspace of four
+        # hidden-wide and one dim-wide buffer (a full trace holds nine and three);
+        # the margin is one numpy ufunc buffer plus a few columns and masks
+        bound = 8 * (len(s) * dim + rows * dim + (4 * hidden + dim) * rows)
+        assert peak <= bound + 8 * np.getbufsize() + 16384
 
     def test_non_finite_output_rejected(self):
         s = generate(SynthConfig(dim=4, num_identities=2, samples_per_res=2, seed=6))
@@ -109,10 +136,8 @@ class TestApplyPanning:
 
     def test_trained_panning_pulls_centroids_closer(self):
         train_set = generate(SynthConfig(num_identities=100, seed=7))
-        params, _ = train(
-            train_set, NetConfig(dim=64, hidden=64),
-            TrainConfig(epochs=15, num_pairs=1000, seed=0),
-        )
+        cfg = TrainConfig(epochs=15, num_pairs=1000, seed=0)
+        params, _ = train(*training_pairs(train_set, cfg), NetConfig(dim=64, hidden=64), cfg)
         fresh_cfg = SynthConfig(num_identities=50, seed=21, direction_seed=7)
         fresh = generate(fresh_cfg)
         panned = apply_panning(params, fresh)
@@ -580,10 +605,8 @@ class TestProject2d:
     def test_planted_gap_shrinks_after_panning_in_2d(self):
         cfg = SynthConfig(num_identities=12, seed=11)
         s = generate(cfg)
-        params, _ = train(
-            s, NetConfig(dim=64, hidden=64),
-            TrainConfig(epochs=15, num_pairs=500, seed=1),
-        )
+        cfg = TrainConfig(epochs=15, num_pairs=500, seed=1)
+        params, _ = train(*training_pairs(s, cfg), NetConfig(dim=64, hidden=64), cfg)
         panned = apply_panning(params, s)
 
         def mean_2d_gap(eset):

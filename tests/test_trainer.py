@@ -16,6 +16,7 @@ from vpfa.trainer import (
     law_of_cosines_check,
     sample_training_pairs,
     train,
+    training_pairs,
     vpl_loss,
 )
 from vpfa.vpnet import TENSOR_ORDER, NetConfig, VPParams, backward, forward, init_params
@@ -381,7 +382,7 @@ class TestTrain:
 
     def test_zero_epochs_returns_init_params(self):
         cfg = TrainConfig(epochs=0, num_pairs=50, seed=1)
-        params, log = train(self.set, self.net_cfg, cfg)
+        params, log = train(*training_pairs(self.set, cfg), self.net_cfg, cfg)
         init = init_params(64, 64, seed=0)
         for name in TENSOR_ORDER:
             assert getattr(params, name).tobytes() == getattr(init, name).tobytes()
@@ -389,26 +390,27 @@ class TestTrain:
 
     def test_deterministic_given_seeds(self):
         cfg = TrainConfig(epochs=3, num_pairs=100, seed=2)
-        p1, log1 = train(self.set, self.net_cfg, cfg)
-        p2, log2 = train(self.set, self.net_cfg, cfg)
+        p1, log1 = train(*training_pairs(self.set, cfg), self.net_cfg, cfg)
+        p2, log2 = train(*training_pairs(self.set, cfg), self.net_cfg, cfg)
         for name in TENSOR_ORDER:
             assert getattr(p1, name).tobytes() == getattr(p2, name).tobytes()
         assert log1.epoch_loss == log2.epoch_loss
 
     def test_loss_drops_sharply_on_planted_shift(self):
         cfg = TrainConfig(epochs=15, num_pairs=500, seed=3)
-        _, log = train(self.set, self.net_cfg, cfg)
+        _, log = train(*training_pairs(self.set, cfg), self.net_cfg, cfg)
         assert len(log.epoch_loss) == 15
         assert log.epoch_loss[-1] < 0.1 * log.epoch_loss[0]
         assert log.wall_time > 0
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dim"):
-            train(self.set, NetConfig(dim=32, hidden=16), TrainConfig(epochs=1))
+        cfg = TrainConfig(epochs=1)
+        with pytest.raises(ValueError, match="network dim 32 != data dim 64"):
+            train(*training_pairs(self.set, cfg), NetConfig(dim=32, hidden=16), cfg)
 
     def test_workspace_equals_allocating_loop_with_short_last_batch(self):
         cfg = TrainConfig(epochs=3, num_pairs=70, batch_size=32, seed=4)  # last batch: 6
-        params, log = train(self.set, self.net_cfg, cfg)
+        params, log = train(*training_pairs(self.set, cfg), self.net_cfg, cfg)
         ref_params, ref_losses = reference_train(self.set, self.net_cfg, cfg)
         assert params.flat.tobytes() == ref_params.flat.tobytes()
         assert log.epoch_loss == ref_losses
@@ -416,17 +418,41 @@ class TestTrain:
     def test_batch_larger_than_pairs_uses_one_batch_of_all_pairs(self):
         huge = TrainConfig(epochs=2, num_pairs=64, batch_size=10**9, seed=5)
         exact = TrainConfig(epochs=2, num_pairs=64, batch_size=64, seed=5)
-        p1, log1 = train(self.set, self.net_cfg, huge)
-        p2, log2 = train(self.set, self.net_cfg, exact)
+        p1, log1 = train(*training_pairs(self.set, huge), self.net_cfg, huge)
+        p2, log2 = train(*training_pairs(self.set, exact), self.net_cfg, exact)
         assert p1.flat.tobytes() == p2.flat.tobytes()
         assert log1.epoch_loss == log2.epoch_loss
 
     def test_divergence_is_a_data_error(self):
         cfg = TrainConfig(epochs=2, num_pairs=64, learning_rate=1e300, seed=1)
         with pytest.raises(DataError, match="diverged"):
-            train(self.set, self.net_cfg, cfg)
+            train(*training_pairs(self.set, cfg), self.net_cfg, cfg)
 
     def test_non_finite_parameters_are_a_data_error(self):
         net_cfg = NetConfig(dim=64, hidden=8, init_std=float("inf"))
+        cfg = TrainConfig(epochs=0, num_pairs=8)
         with pytest.raises(DataError, match="non-finite"):
-            train(self.set, net_cfg, TrainConfig(epochs=0, num_pairs=8))
+            train(*training_pairs(self.set, cfg), net_cfg, cfg)
+
+    @pytest.mark.parametrize("shapes", [((4, 64), (4, 63)), ((4, 64), (5, 64)), ((0, 64),) * 2,
+                                        ((64,), (64,))])
+    def test_pairs_of_other_shapes_rejected(self, shapes):
+        z_lr, z_hr = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(ValueError, match="pairs must be two"):
+            train(z_lr, z_hr, self.net_cfg, TrainConfig(epochs=1))
+
+
+class TestTrainingPairs:
+    def test_are_the_sampled_means_of_the_paired_identities(self):
+        s = generate(SynthConfig(dim=8, num_identities=6, samples_per_res=4,
+                                 shift_magnitude={2: 1.0, 3: 2.0}, rates=(2, 3), seed=3))
+        cfg = TrainConfig(num_pairs=20, seed=4)
+        for rates in (None, [3]):
+            ids, *_ = build_prototype_pairs(s, rates)
+            _, want_lr, want_hr = sample_training_pairs(ids, s, cfg, rates)
+            z_lr, z_hr = training_pairs(s, cfg, rates)
+            assert z_lr.tobytes() == want_lr.tobytes() and z_hr.tobytes() == want_hr.tobytes()
+
+    def test_repeated_rate_rejected(self):
+        with pytest.raises(ValueError, match=r"^LR rates must be distinct, got \[2, 2\]$"):
+            training_pairs(tiny_set(), TrainConfig(num_pairs=4), rates=[2, 2])

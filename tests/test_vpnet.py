@@ -96,6 +96,30 @@ class TestFlatLayout:
         assert TENSOR_ORDER == ("w1", "b1", "gamma1", "beta1", "w2", "b2", "gamma2", "beta2",
                                 "w3", "b3", "gamma3", "beta3", "w4", "b4")
 
+    def test_equal_when_dims_and_every_byte_of_flat_match(self):
+        p = init_params(3, 2, init_std=0.5, seed=4)
+        q = init_params(3, 2, init_std=0.5, seed=4)
+        assert p == q and not p != q and p is not q
+        q.b4[1] = np.nextafter(q.b4[1], 1.0)
+        assert p != q
+        zero = init_params(3, 2, init_std=0.0)
+        negative_zero = VPParams(3, 2, zero.flat.copy())
+        negative_zero.b1[0] = -0.0  # equal as a number, another byte pattern
+        assert zero != negative_zero
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(p)
+
+    @pytest.mark.parametrize("dim, hidden", [(2, 3), (3, 3), (4, 2)])
+    def test_other_dims_are_unequal(self, dim, hidden):
+        p = init_params(3, 2, init_std=0.0)
+        q = init_params(dim, hidden, init_std=0.0)
+        assert p != q and q != p and p != p.flat
+
+    def test_same_flat_bytes_under_other_dims_are_unequal(self):
+        assert parameter_count(3, 2) == parameter_count(10, 1) == 41
+        flat = np.zeros(41)
+        assert VPParams(3, 2, flat) != VPParams(10, 1, flat.copy())
+
     def test_flat_size_must_match_dims(self):
         with pytest.raises(ValueError, match="shape"):
             VPParams(4, 3, np.zeros(parameter_count(4, 3) + 1))
@@ -359,6 +383,48 @@ class TestWorkspace:
         # (rows, hidden) arrays
         assert peak < rows * hidden * 8 // 2
 
+
+class TestForwardOnly:
+    """The inference workspace: shared buffers, the full trace's output bits."""
+
+    @pytest.mark.parametrize("rows, dim, hidden", [(5, 6, 9), (5, 9, 6), (1, 7, 7)])
+    def test_output_equals_a_full_trace(self, rows, dim, hidden):
+        p = init_params(dim, hidden, init_std=0.4, seed=rows + dim)
+        ws = ForwardTrace.forward_only(rows, dim, hidden)
+        z = np.random.default_rng(hidden).standard_normal((rows, dim))
+        for _ in range(2):  # a reused workspace keeps no state between calls
+            zhat, got = forward(p, z, ws)
+            assert got is ws and np.shares_memory(zhat, ws.residual)
+            assert zhat.tobytes() == forward(p, z)[0].tobytes()
+        single, _ = forward(p, z[0], ForwardTrace.forward_only(1, dim, hidden))
+        assert single.shape == (dim,) and single.tobytes() == forward(p, z[0])[0].tobytes()
+
+    def test_buffers_are_shared_and_backward_ones_absent(self):
+        ws = ForwardTrace.forward_only(4, 6, 5)
+        assert ws.xhat1 is ws.xhat2 is ws.xhat3 and ws.inv1 is ws.inv2 is ws.inv3
+        assert ws.a1 is ws.a3 and not np.shares_memory(ws.a1, ws.a2)
+        assert ws.zhat is ws.residual and ws.zhat.shape == (4, 6)
+        assert ws.col is ws.da is ws.du is ws.mask is ws.dz is None
+        distinct = (ws.xhat1, ws.a1, ws.a2, ws.hid)
+        assert all(b.shape == (4, 5) for b in distinct)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(distinct)
+                       for b in distinct[i + 1:])
+
+    def test_backward_rejects_it(self):
+        p = init_params(6, 5, init_std=0.4, seed=1)
+        ws = ForwardTrace.forward_only(3, 6, 5)
+        forward(p, np.ones((3, 6)), ws)
+        with pytest.raises(ValueError, match="forward-only workspace"):
+            backward(p, ws, np.ones((3, 6)))
+
+    def test_mismatched_workspace_rejected(self):
+        p = init_params(6, 5, init_std=0.4, seed=1)
+        with pytest.raises(ValueError, match="trace"):
+            forward(p, np.ones((3, 6)), ForwardTrace.forward_only(4, 6, 5))
+        with pytest.raises(ValueError, match="trace"):
+            forward(p, np.ones((3, 6)), ForwardTrace.forward_only(3, 6, 4))
+
+
 class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path):
         p = init_params(6, 4, init_std=0.7, seed=17)
@@ -376,6 +442,20 @@ class TestPersistence:
         save_params(p, path)
         header = struct.pack("<4sIII", b"VPNP", 1, 6, 4)
         assert path.read_bytes() == header + p.flat.astype("<f8").tobytes()
+
+    def test_save_writes_from_the_vector_without_a_copy(self, tmp_path):
+        import tracemalloc
+
+        p = init_params(64, 128, init_std=0.1, seed=5)
+        path = tmp_path / "net.vpnp"
+        tracemalloc.start()
+        try:
+            save_params(p, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p.flat.nbytes // 4
+        assert path.read_bytes()[16:] == p.flat.tobytes()
 
     @pytest.mark.parametrize("dim, hidden", [(0, 0), (0, 3), (4, 0)])
     def test_non_positive_dims_rejected(self, tmp_path, dim, hidden):
