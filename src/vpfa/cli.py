@@ -366,10 +366,7 @@ def _cmd_centroids(args: argparse.Namespace, outputs: list[str]) -> None:
     query, gallery = _split_queries(eset)
     lines = [f"source: {args.data}"]
     if args.params:
-        params = load_params(args.params)
-        panned = apply_panning(params, eset, target="lr")
-        panned_lr, _ = _split_queries(panned)
-        report = compare_centroids(gallery, query, panned_lr)
+        report = compare_centroids(gallery, query, apply_panning(load_params(args.params), query))
         csv_rows = ["identity,distance_before,distance_after,reduction"]
         lines.append(f"identities: {len(report.per_identity)}")
         lines.append(f"mean_reduction: {report.mean_reduction:.6f}")

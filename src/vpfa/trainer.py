@@ -53,67 +53,61 @@ class TrainLog:
     wall_time: float = 0.0
 
 
-def _lr_mask(eset: EmbeddingSet, rates: list[int] | None) -> np.ndarray:
-    """The LR rows at ``rates`` (at every LR rate when None)."""
-    if rates is None:
-        return eset.rate_array != 0
-    return np.isin(eset.rate_array, check_lr_rates(rates))
-
-
 def build_prototype_pairs(
     eset: EmbeddingSet, rates: list[int] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Mean-feature pairs for identities with >= 2 HR and >= 2 LR samples.
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """The identities with >= 2 HR and >= 2 LR samples, in sorted order (int64),
+    with each one's LR and HR row indices into ``eset.matrix``, in record order.
 
-    LR samples are pooled across ``rates`` (all LR rates when None).
-    Returns the paired identities in sorted order, their (K, dim) LR and HR
-    means, and the count of skipped identities.
+    LR samples are pooled across ``rates``, which must be distinct LR rates
+    (all LR rates when None).
     """
+    lr_mask = (eset.rate_array != 0 if rates is None
+               else np.isin(eset.rate_array, check_lr_rates(rates)))
     hr = eset.rows_by_identity(eset.rate_array == 0)
-    lr = eset.rows_by_identity(_lr_mask(eset, rates))
-    seen = sorted(set(hr) | set(lr))
-    paired = [i for i in seen if len(hr.get(i, ())) >= 2 and len(lr.get(i, ())) >= 2]
+    lr = eset.rows_by_identity(lr_mask)
+    paired = [i for i in sorted(hr.keys() & lr.keys()) if len(hr[i]) >= 2 and len(lr[i]) >= 2]
     if not paired:
         raise DataError("no identity has two samples at both resolutions")
-    lr_means, hr_means = (np.array([eset.matrix[rows[i]].mean(axis=0) for i in paired])
-                          for rows in (lr, hr))
-    return np.array(paired, dtype=np.int64), lr_means, hr_means, len(seen) - len(paired)
+    return np.array(paired, dtype=np.int64), [lr[i] for i in paired], [hr[i] for i in paired]
 
 
 def sample_training_pairs(
     identities: np.ndarray,
-    eset: EmbeddingSet,
+    lr_rows: list[np.ndarray],
+    hr_rows: list[np.ndarray],
+    matrix: np.ndarray,
     cfg: TrainConfig,
-    rates: list[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw ``cfg.num_pairs`` bootstrap prototype pairs with identity cycling.
 
-    The identity list is reshuffled (seeded) every full pass, so draw counts
-    per identity differ by at most one.  Each draw recomputes both means
-    over a random subset of ceil(bootstrap_fraction * count) samples
-    (minimum 2), making repeated draws of an identity distinct.  Returns the
-    drawn identities and their (num_pairs, dim) LR and HR means, in draw order.
+    ``identities[k]`` owns the rows ``lr_rows[k]`` and ``hr_rows[k]`` of
+    ``matrix``, as :func:`build_prototype_pairs` returns them.  The identity
+    list is reshuffled (seeded) every full pass, so draw counts per identity
+    differ by at most one.  Each draw recomputes both means over a random
+    subset of ceil(bootstrap_fraction * count) samples (minimum 2), making
+    repeated draws of an identity distinct.  Returns the drawn identities and
+    their (num_pairs, dim) LR and HR means, in draw order.
     """
     if not len(identities):
         raise DataError("no prototype pairs to sample from")
-    hr = eset.rows_by_identity(eset.rate_array == 0)
-    lr = eset.rows_by_identity(_lr_mask(eset, rates))
     drawn = np.empty(cfg.num_pairs, dtype=np.int64)
-    z_lr, z_hr = np.empty((2, cfg.num_pairs, eset.dim))
+    z_lr, z_hr = np.empty((2, cfg.num_pairs, matrix.shape[1]))
     rng = np.random.default_rng(cfg.seed)
     k = 0
     while k < cfg.num_pairs:
-        for identity in rng.permutation(identities):
+        # permuting positions draws the same numbers as permuting the identities
+        for j in rng.permutation(len(identities)):
             if k == cfg.num_pairs:
                 break
-            hs, ls = hr[identity], lr[identity]
+            hs, ls = hr_rows[j], lr_rows[j]
             n_h = max(2, math.ceil(cfg.bootstrap_fraction * hs.size))
             n_l = max(2, math.ceil(cfg.bootstrap_fraction * ls.size))
             pick_h = rng.choice(hs.size, size=n_h, replace=False)
             pick_l = rng.choice(ls.size, size=n_l, replace=False)
-            drawn[k] = identity
-            z_lr[k] = eset.matrix[ls[pick_l]].mean(axis=0)
-            z_hr[k] = eset.matrix[hs[pick_h]].mean(axis=0)
+            drawn[k] = identities[j]
+            z_lr[k] = matrix[ls[pick_l]].mean(axis=0)
+            z_hr[k] = matrix[hs[pick_h]].mean(axis=0)
             k += 1
     return drawn, z_lr, z_hr
 
@@ -206,13 +200,11 @@ def training_pairs(
     eset: EmbeddingSet, cfg: TrainConfig, rates: list[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (cfg.num_pairs, dim) LR and HR means that :func:`train` fits:
-    the identities :func:`build_prototype_pairs` pairs, drawn by
-    :func:`sample_training_pairs` from ``default_rng(cfg.seed)``.  ``rates``
-    must be distinct LR rates (both calls check them with
-    :func:`~vpfa.embeddings.check_lr_rates`).  The arrays are new, so the
-    set may be freed before training."""
-    identities, *_ = build_prototype_pairs(eset, rates)
-    _, z_lr, z_hr = sample_training_pairs(identities, eset, cfg, rates)
+    the identities and rows :func:`build_prototype_pairs` pairs (``rates``
+    as there), drawn by :func:`sample_training_pairs` from
+    ``default_rng(cfg.seed)``.  The arrays are new, so the set may be freed
+    before training."""
+    _, z_lr, z_hr = sample_training_pairs(*build_prototype_pairs(eset, rates), eset.matrix, cfg)
     return z_lr, z_hr
 
 

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vpfa import embeddings
+from vpfa import cli, embeddings
 from vpfa.cli import dispatch
-from vpfa.embeddings import EmbeddingSet, load_set
+from vpfa.embeddings import EmbeddingSet, load_set, save_set
 from vpfa.synthgen import SynthConfig, generate
 from vpfa.vpnet import TENSOR_ORDER, init_params, load_params, save_params
 
@@ -483,6 +483,35 @@ class TestCentroidsAndProject:
         )
         assert mean_reduction > 0.25
         assert csv_path.read_text().startswith("identity,distance_before")
+
+    def test_centroids_with_params_pans_only_the_queries(self, synth_file, tmp_path,
+                                                         monkeypatch):
+        params_path = tmp_path / "vp.vpnp"
+        save_params(init_params(64, 8), params_path)
+        seen, original = [], cli.apply_panning
+
+        def recording(params, eset, *args, **kwargs):
+            seen.append(eset)
+            return original(params, eset, *args, **kwargs)
+
+        monkeypatch.setattr("vpfa.cli.apply_panning", recording)
+        assert run("centroids", "--data", str(synth_file), "--params", str(params_path),
+                   "--out", str(tmp_path / "c.txt")) == 0
+        num_lr = int(np.count_nonzero(load_set(synth_file, "bin").rate_array != 0))
+        [panned] = seen
+        assert len(panned) == num_lr and (panned.rate_array != 0).all()
+
+    def test_centroids_with_params_on_hr_only_set_exits_1(self, synth_file, tmp_path,
+                                                          capsys):
+        hr_only = tmp_path / "hr.vpfa"
+        eset = load_set(synth_file, "bin")
+        save_set(eset.partition(eset.rate_array == 0), hr_only, "bin")
+        params_path = tmp_path / "vp.vpnp"
+        save_params(init_params(64, 8), params_path)
+        capsys.readouterr()
+        assert run("centroids", "--data", str(hr_only), "--params", str(params_path),
+                   "--out", str(tmp_path / "c.txt")) == 1
+        assert capsys.readouterr().err == "error: the sets share no identities\n"
 
     def test_project_writes_csv(self, synth_file, tmp_path):
         out = tmp_path / "proj.csv"

@@ -4,7 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from vpfa.embeddings import EmbeddingSet
+from vpfa import trainer
+from vpfa.embeddings import EmbeddingSet, check_lr_rates
 from vpfa.errors import DataError
 from vpfa.synthgen import SynthConfig, generate
 from vpfa.trainer import (
@@ -33,31 +34,41 @@ def reversed_rows(eset):
         eset.matrix, eset.identity_array, eset.camera_array, eset.rate_array)))
 
 
+def means(eset, groups):
+    """The (K, dim) means of the row groups of ``build_prototype_pairs``."""
+    return np.array([eset.matrix[rows].mean(axis=0) for rows in groups])
+
+
 class TestBuildPrototypePairs:
     def test_arithmetic_means(self):
-        ids, lr_means, hr_means, skipped = build_prototype_pairs(tiny_set())
-        assert ids.tolist() == [0] and skipped == 1
-        np.testing.assert_allclose(hr_means, [[0.5, 0.5]])
-        np.testing.assert_allclose(lr_means, [[1.0, 1.0]])
+        s = tiny_set()
+        ids, lr_rows, hr_rows = build_prototype_pairs(s)
+        assert ids.tolist() == [0] == walk_paired(*record_groups(s))
+        np.testing.assert_allclose(means(s, hr_rows), [[0.5, 0.5]])
+        np.testing.assert_allclose(means(s, lr_rows), [[1.0, 1.0]])
 
     def test_single_lr_sample_excluded(self):
-        ids, _, _, skipped = build_prototype_pairs(tiny_set())
+        s = tiny_set()
+        hr, lr = record_groups(s)
+        ids, _, _ = build_prototype_pairs(s)
+        assert 1 in hr and len(lr[1]) == 1
         assert 1 not in ids.tolist()
-        assert skipped == 1
+        assert ids.tolist() == walk_paired(hr, lr)
 
     def test_sample_order_irrelevant(self):
-        s = tiny_set()
-        _, a_lr, a_hr, _ = build_prototype_pairs(s)
-        _, b_lr, b_hr, _ = build_prototype_pairs(reversed_rows(s))
-        np.testing.assert_allclose(a_hr, b_hr)
-        np.testing.assert_allclose(a_lr, b_lr)
+        s, r = tiny_set(), reversed_rows(tiny_set())
+        _, a_lr, a_hr = build_prototype_pairs(s)
+        _, b_lr, b_hr = build_prototype_pairs(r)
+        np.testing.assert_allclose(means(s, a_hr), means(r, b_hr))
+        np.testing.assert_allclose(means(s, a_lr), means(r, b_lr))
 
     def test_arrays_in_sorted_identity_order(self):
         s = reversed_rows(generate(SynthConfig(dim=4, num_identities=5, samples_per_res=3,
                                                seed=2)))
-        ids, lr_means, hr_means, skipped = build_prototype_pairs(s)
-        assert ids.tolist() == list(range(5)) and ids.dtype == np.int64 and skipped == 0
-        assert lr_means.shape == hr_means.shape == (5, 4)
+        ids, lr_rows, hr_rows = build_prototype_pairs(s)
+        assert ids.tolist() == list(range(5)) == walk_paired(*record_groups(s))
+        assert ids.dtype == np.int64 and len(lr_rows) == len(hr_rows) == 5
+        hr_means = means(s, hr_rows)
         for k, identity in enumerate(ids):
             own = s.identity_array == identity
             assert hr_means[k].tobytes() == s.matrix[own & (s.rate_array == 0)].mean(axis=0).tobytes()
@@ -68,10 +79,10 @@ class TestBuildPrototypePairs:
             shift_magnitude={2: 1.0, 3: 2.0}, rates=(2, 3), seed=0,
         )
         s = generate(cfg)
-        pooled_ids, pooled, _, _ = build_prototype_pairs(s)
-        only2_ids, only2, _, _ = build_prototype_pairs(s, rates=[2])
+        pooled_ids, pooled, _ = build_prototype_pairs(s)
+        only2_ids, only2, _ = build_prototype_pairs(s, rates=[2])
         assert len(pooled_ids) == len(only2_ids) == 3
-        assert not np.allclose(pooled[0], only2[0])
+        assert not np.allclose(means(s, pooled)[0], means(s, only2)[0])
 
     @pytest.mark.parametrize("rates", [[0], [1], [2, 256]])
     def test_rate_outside_lr_range_rejected(self, rates):
@@ -96,6 +107,12 @@ def record_groups(eset, rates=None):
     return hr, lr
 
 
+def walk_paired(hr, lr):
+    """The sorted identities of ``record_groups`` with two vectors on each side."""
+    return sorted(i for i in set(hr) | set(lr)
+                  if len(hr.get(i, ())) >= 2 and len(lr.get(i, ())) >= 2)
+
+
 class TestGroupingMatchesRecordWalk:
     """The array grouping reproduces the record-by-record lists bit for bit."""
 
@@ -103,21 +120,31 @@ class TestGroupingMatchesRecordWalk:
         s = generate(SynthConfig(dim=16, num_identities=9, samples_per_res=5,
                                  shift_magnitude={2: 1.0, 3: 2.0}, rates=(2, 3), seed=4))
         rows = np.random.default_rng(0).permutation(len(s))[: len(s) * 4 // 5]  # shuffled, uneven
+        # identity 2 keeps one LRx3 row, so rates=[3] pairs fewer identities than None
+        lrx3 = rows[(s.identity_array[rows] == 2) & (s.rate_array[rows] == 3)]
+        rows = np.setdiff1d(rows, lrx3[1:], assume_unique=True)
         self.set = EmbeddingSet(s.matrix[rows], s.identity_array[rows], s.camera_array[rows],
                                 s.rate_array[rows])
-        self.hr, self.lr = record_groups(self.set)
 
     @pytest.mark.parametrize("rates", [None, [3]])
     def test_prototype_means(self, rates):
         hr, lr = record_groups(self.set, rates)
-        ids, lr_means, hr_means, skipped = build_prototype_pairs(self.set, rates)
-        assert len(ids) + skipped == len(set(hr) | set(lr))
-        for identity, lr_mean, hr_mean in zip(ids.tolist(), lr_means, hr_means):
-            assert hr_mean.tobytes() == np.mean(hr[identity], axis=0).tobytes()
-            assert lr_mean.tobytes() == np.mean(lr[identity], axis=0).tobytes()
+        ids, lr_rows, hr_rows = build_prototype_pairs(self.set, rates)
+        assert ids.tolist() == walk_paired(hr, lr)
+        assert (2 in ids.tolist()) == (rates is None)
+        for identity, lr_idx, hr_idx in zip(ids.tolist(), lr_rows, hr_rows):
+            assert self.set.matrix[hr_idx].tobytes() == np.stack(hr[identity]).tobytes()
+            assert self.set.matrix[lr_idx].tobytes() == np.stack(lr[identity]).tobytes()
+            assert (self.set.matrix[hr_idx].mean(axis=0).tobytes()
+                    == np.mean(hr[identity], axis=0).tobytes())
+            assert (self.set.matrix[lr_idx].mean(axis=0).tobytes()
+                    == np.mean(lr[identity], axis=0).tobytes())
 
-    def test_bootstrap_draws(self):
-        ids, *_ = build_prototype_pairs(self.set)
+    @pytest.mark.parametrize("rates", [None, [3]])
+    def test_bootstrap_draws(self, rates):
+        hr, lr = record_groups(self.set, rates)
+        ids = np.array(walk_paired(hr, lr), dtype=np.int64)
+        assert (2 in ids) == (rates is None)  # identity 2 has one LRx3 row
         cfg = TrainConfig(num_pairs=40, seed=6)
         rng = np.random.default_rng(cfg.seed)
         expected = []
@@ -125,40 +152,48 @@ class TestGroupingMatchesRecordWalk:
             for identity in rng.permutation(ids):
                 if len(expected) == cfg.num_pairs:
                     break
-                hs, ls = np.stack(self.hr[identity]), np.stack(self.lr[identity])
+                hs, ls = np.stack(hr[identity]), np.stack(lr[identity])
                 n_h = max(2, math.ceil(cfg.bootstrap_fraction * hs.shape[0]))
                 n_l = max(2, math.ceil(cfg.bootstrap_fraction * ls.shape[0]))
                 pick_h = rng.choice(hs.shape[0], size=n_h, replace=False)
                 pick_l = rng.choice(ls.shape[0], size=n_l, replace=False)
                 expected.append((identity, ls[pick_l].mean(axis=0).tobytes(),
                                  hs[pick_h].mean(axis=0).tobytes()))
-        drawn, z_lr, z_hr = sample_training_pairs(ids, self.set, cfg)
+        drawn, z_lr, z_hr = sample_training_pairs(*build_prototype_pairs(self.set, rates),
+                                                  self.set.matrix, cfg)
         assert (z_lr.shape, z_hr.shape) == ((40, 16), (40, 16))
         assert list(zip(drawn.tolist(), map(bytes, z_lr), map(bytes, z_hr))) == expected
+        z_lr, z_hr = training_pairs(self.set, cfg, rates)
+        assert list(zip(map(bytes, z_lr), map(bytes, z_hr))) == [e[1:] for e in expected]
 
 
 class TestSampleTrainingPairs:
     def setup_method(self):
         self.set = generate(SynthConfig(dim=8, num_identities=7, samples_per_res=5, seed=1))
-        self.ids, self.lr_means, self.hr_means, _ = build_prototype_pairs(self.set)
+        self.pairs = build_prototype_pairs(self.set)
+        self.ids, lr_rows, hr_rows = self.pairs
+        self.lr_means, self.hr_means = means(self.set, lr_rows), means(self.set, hr_rows)
+
+    def sample(self, cfg):
+        return sample_training_pairs(*self.pairs, self.set.matrix, cfg)
 
     def test_degenerate_bootstrap_returns_full_means(self):
         cfg = TrainConfig(num_pairs=7, bootstrap_fraction=1.0, seed=3)
-        drawn, z_lr, z_hr = sample_training_pairs(self.ids, self.set, cfg)
+        drawn, z_lr, z_hr = self.sample(cfg)
         assert sorted(drawn.tolist()) == list(range(7))
         np.testing.assert_allclose(z_hr, self.hr_means[drawn])  # identity k at row k
         np.testing.assert_allclose(z_lr, self.lr_means[drawn])
 
     def test_same_seed_same_sequence(self):
         cfg = TrainConfig(num_pairs=20, seed=5)
-        a = sample_training_pairs(self.ids, self.set, cfg)
-        b = sample_training_pairs(self.ids, self.set, cfg)
+        a = self.sample(cfg)
+        b = self.sample(cfg)
         for xa, xb in zip(a, b):
             assert xa.tobytes() == xb.tobytes()
 
     def test_draw_counts_differ_by_at_most_one(self):
         cfg = TrainConfig(num_pairs=50, seed=2)
-        drawn, _, _ = sample_training_pairs(self.ids, self.set, cfg)
+        drawn, _, _ = self.sample(cfg)
         counts = Counter(drawn.tolist())
         assert sorted(counts) == list(range(7))
         assert set(counts.values()) <= {50 // 7, 50 // 7 + 1}  # 7 or 8
@@ -166,7 +201,7 @@ class TestSampleTrainingPairs:
 
     def test_bootstrap_draws_of_one_identity_differ(self):
         cfg = TrainConfig(num_pairs=14, bootstrap_fraction=0.5, seed=4)
-        drawn, z_lr, z_hr = sample_training_pairs(self.ids, self.set, cfg)
+        drawn, z_lr, z_hr = self.sample(cfg)
         for identity in range(7):
             first, second = np.flatnonzero(drawn == identity)
             # the pair as a whole must differ (either side may collide by
@@ -178,7 +213,7 @@ class TestSampleTrainingPairs:
 
     def test_no_identities_is_an_error(self):
         with pytest.raises(DataError, match="no prototype pairs"):
-            sample_training_pairs(self.ids[:0], self.set, TrainConfig(num_pairs=3))
+            sample_training_pairs(self.ids[:0], [], [], self.set.matrix, TrainConfig(num_pairs=3))
 
 
 class TestVplLoss:
@@ -351,8 +386,7 @@ class TestTrainConfig:
 
 def reference_train(eset, net_cfg, cfg):
     """The training loop with allocating forward/backward calls, step by step."""
-    ids, *_ = build_prototype_pairs(eset)
-    _, z_lr, z_hr = sample_training_pairs(ids, eset, cfg)
+    _, z_lr, z_hr = sample_training_pairs(*build_prototype_pairs(eset), eset.matrix, cfg)
     params = init_params(net_cfg.dim, net_cfg.hidden, net_cfg.init_std, net_cfg.seed)
     grads = VPParams(net_cfg.dim, net_cfg.hidden, np.empty_like(params.flat))
     theta, dtheta = {"theta": params.flat}, {"theta": grads.flat}
@@ -448,10 +482,26 @@ class TestTrainingPairs:
                                  shift_magnitude={2: 1.0, 3: 2.0}, rates=(2, 3), seed=3))
         cfg = TrainConfig(num_pairs=20, seed=4)
         for rates in (None, [3]):
-            ids, *_ = build_prototype_pairs(s, rates)
-            _, want_lr, want_hr = sample_training_pairs(ids, s, cfg, rates)
+            _, want_lr, want_hr = sample_training_pairs(*build_prototype_pairs(s, rates),
+                                                        s.matrix, cfg)
             z_lr, z_hr = training_pairs(s, cfg, rates)
             assert z_lr.tobytes() == want_lr.tobytes() and z_hr.tobytes() == want_hr.tobytes()
+
+    def test_groups_the_set_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(EmbeddingSet, "rows_by_identity",
+                            counted("rows_by_identity", EmbeddingSet.rows_by_identity))
+        monkeypatch.setattr(trainer, "check_lr_rates", counted("check_lr_rates", check_lr_rates))
+        s = generate(SynthConfig(dim=4, num_identities=3, samples_per_res=2, seed=0))
+        training_pairs(s, TrainConfig(num_pairs=4), rates=[2])
+        assert calls == {"rows_by_identity": 2, "check_lr_rates": 1}
 
     def test_repeated_rate_rejected(self):
         with pytest.raises(ValueError, match=r"^LR rates must be distinct, got \[2, 2\]$"):
