@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,7 +20,15 @@ from . import vpnet
 from .embeddings import EmbeddingSet, check_lr_rates
 from .errors import DataError
 from .stats import cosine
-from .vpnet import ForwardTrace, NetConfig, VPParams, backward, forward
+from .vpnet import (
+    BACKWARD_GROUPS,
+    ForwardTrace,
+    NetConfig,
+    VPParams,
+    backward,
+    forward,
+    tensor_shapes,
+)
 
 
 @dataclass(frozen=True)
@@ -196,6 +205,32 @@ def adam_step(
     return tensors, state
 
 
+def adam_slices(dim: int, hidden: int) -> list[tuple[str, int, int]]:
+    """The slices ``flat[lo:hi]`` of the parameter vector that :func:`train`
+    steps inside the backward sweep, as (groups, lo, hi) in the order they
+    finish; ``groups`` joins their BACKWARD_GROUPS keys, and the slice is
+    stepped once its last one is done.
+
+    The groups finish from the end of ``flat`` down, so the finished
+    gradients always form a suffix of it.  Consecutive groups share a slice
+    while it fits in max(largest group, ADAM_BLOCK) elements: a small
+    network takes one or two blocks per step, the production shape four
+    slices of at most one group.
+    """
+    shapes = tensor_shapes(dim, hidden)
+    sizes = [sum(math.prod(shapes[n]) for n in names) for names in BACKWARD_GROUPS.values()]
+    cap = max(*sizes, ADAM_BLOCK)
+    slices, lo = [], sum(sizes)
+    for group, size in zip(BACKWARD_GROUPS, sizes):
+        if slices and slices[-1][2] - (lo - size) <= cap:
+            slices[-1][0] += group
+        else:
+            slices.append([group, lo, lo])
+        lo -= size
+        slices[-1][1] = lo
+    return [tuple(s) for s in slices]
+
+
 def training_pairs(
     eset: EmbeddingSet, cfg: TrainConfig, rates: list[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -229,10 +264,29 @@ def train(
 
     # through the module, where tracers (perfbench/tracing.py) wrap init_params
     params = vpnet.init_params(net_cfg.dim, net_cfg.hidden, net_cfg.init_std, net_cfg.seed)
-    grads = VPParams(net_cfg.dim, net_cfg.hidden, np.empty_like(params.flat))
-    # adam_step walks name -> array mappings; the whole vector is one entry
-    theta, dtheta = {"theta": params.flat}, {"theta": grads.flat}
-    state = AdamState.zeros_like(theta)
+    # Adam steps each slice of the parameter vector inside the backward sweep,
+    # once the slice's last group is done, so the gradients of one slice at a
+    # time live in ``buf`` (see adam_slices) and no gradient vector exists.
+    slices = adam_slices(net_cfg.dim, net_cfg.hidden)
+    buf = np.empty(max(hi - lo for _, lo, hi in slices))
+    grads = SimpleNamespace(dim=net_cfg.dim, hidden=net_cfg.hidden)
+    offset = 0
+    for name, shape in tensor_shapes(net_cfg.dim, net_cfg.hidden).items():
+        at = offset - max(lo for _, lo, _ in slices if lo <= offset)  # place in its slice
+        size = math.prod(shape)
+        setattr(grads, name, buf[at : at + size].reshape(shape))
+        offset += size
+    m, v = np.zeros((2, params.flat.size))
+    state = AdamState({key: m[lo:hi] for key, lo, hi in slices},
+                      {key: v[lo:hi] for key, lo, hi in slices})
+    # adam_step walks name -> array mappings: one entry, the slice, per call
+    due = {key[-1]: ({key: params.flat[lo:hi]}, {key: buf[: hi - lo]})
+           for key, lo, hi in slices}
+
+    def step_group(group: str) -> None:
+        if group in due:
+            adam_step(*due[group], state, lr=cfg.learning_rate, wd=cfg.weight_decay, t=t)
+
     order_rng = np.random.default_rng([cfg.seed, 1])
     num = z_lr.shape[0]
     rows = min(cfg.batch_size, num)
@@ -262,14 +316,14 @@ def train(
                 diff = np.subtract(zhat, hr, out=grad_out)
                 epoch_total += float(np.add.reduce(np.square(diff, out=sq), axis=None))
                 np.multiply(2.0 / idx.size, diff, out=grad_out)  # mean of per-pair losses
-                backward(params, ws, grad_out, out=grads)
                 t += 1
-                adam_step(theta, dtheta, state, lr=cfg.learning_rate, wd=cfg.weight_decay, t=t)
+                backward(params, ws, grad_out, out=grads, on_group=step_group)
             if not math.isfinite(epoch_total):
                 raise DataError(f"training diverged: epoch {epoch} loss is {epoch_total}; "
                                 "lower the learning rate")
             log.epoch_loss.append(epoch_total / num)
-    if not np.isfinite(params.flat).all():
+    # min and max carry any NaN and show any infinity, without a temporary
+    if not (math.isfinite(params.flat.min()) and math.isfinite(params.flat.max())):
         raise DataError("training produced non-finite parameters; lower the learning rate")
     log.wall_time = time.perf_counter() - start
     return params, log

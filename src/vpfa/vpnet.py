@@ -22,6 +22,7 @@ import os
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -50,6 +51,11 @@ def tensor_shapes(dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
 
 
 TENSOR_ORDER = tuple(tensor_shapes(1, 1))
+
+# The tensors of each layer group, in the order :func:`backward` finishes
+# them; each group is a contiguous run of TENSOR_ORDER, just below the last.
+BACKWARD_GROUPS = {"4": ("w4", "b4"),
+                   **{i: tuple(n + i for n in ("w", "b", "gamma", "beta")) for i in "321"}}
 
 
 def parameter_count(dim: int, hidden: int) -> int:
@@ -106,16 +112,6 @@ def init_params(dim: int, hidden: int, init_std: float = 1e-3, seed: int = 0) ->
         rng.standard_normal(out=weight)
         weight *= init_std
     return params
-
-
-def layernorm_forward(
-    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = LN_EPS
-) -> np.ndarray:
-    """Normalize over the last axis with population variance, then affine."""
-    y = np.array(x, dtype=np.float64)
-    _layernorm(y, gamma, beta, eps, np.empty_like(y), np.empty(y.shape[:-1] + (1,)),
-               np.empty_like(y))
-    return y
 
 
 def _layernorm(u, gamma, beta, eps, xhat, inv, sq):
@@ -255,15 +251,26 @@ def forward(
 
 
 def backward(
-    params: VPParams, trace: ForwardTrace, grad_output: np.ndarray, out: VPParams | None = None
+    params: VPParams,
+    trace: ForwardTrace,
+    grad_output: np.ndarray,
+    out: VPParams | None = None,
+    on_group: Callable[[str], object] | None = None,
 ) -> tuple[VPParams, np.ndarray]:
     """Exact gradients of the forward map for the traced inputs.
 
     The parameter gradients are written into ``out``, a :class:`VPParams`
-    of the network's dimensions (a new one when None), which is returned
-    together with the gradient with respect to the input (which includes
-    the residual skip path).  The input gradient and every temporary live
-    in ``trace``'s buffers.
+    of the network's dimensions (a new one when None) or any object with
+    ``dim``, ``hidden`` and the named tensors, which is returned together
+    with the gradient with respect to the input (which includes the
+    residual skip path).  The input gradient and every temporary live in
+    ``trace``'s buffers.
+
+    ``on_group``, when given, is called with each key of BACKWARD_GROUPS
+    ("4", "3", "2", "1") as soon as that group's gradients are written and
+    its input gradient is computed.  From then on this call reads neither
+    the group's parameters nor its gradients, so the callback may update
+    both in place (as :func:`~vpfa.trainer.train` does with Adam).
     """
     if trace.dz is None:
         raise ValueError("a forward-only workspace keeps no values for backward")
@@ -284,6 +291,8 @@ def backward(
     np.matmul(du.T, trace.a3, out=out.w4)
     np.add.reduce(du, axis=0, out=out.b4)
     da = np.matmul(du, params.w4, out=trace.da)
+    if on_group is not None:
+        on_group("4")
     for i, a_in, a_out, xhat, inv, da_in in (
         ("3", trace.a2, trace.a3, trace.xhat3, trace.inv3, trace.da),
         ("2", trace.a1, trace.a2, trace.xhat2, trace.inv2, trace.da),
@@ -298,6 +307,8 @@ def backward(
         np.matmul(du.T, a_in, out=getattr(out, "w" + i))
         np.add.reduce(du, axis=0, out=getattr(out, "b" + i))
         da = np.matmul(du, getattr(params, "w" + i), out=da_in)
+        if on_group is not None:
+            on_group(i)
 
     grad_input = np.add(g, da, out=trace.dz)
     if trace.single:

@@ -409,6 +409,26 @@ class TestTrainApplyEval:
                    "--pairs", "8", "--out", str(tmp_path / "p.vpnp")) == 0
         assert len(loaded) == 1 and alive_at_init == [False]
 
+    @pytest.mark.parametrize("gen_flags, warns", [
+        (("--dim", "4", "--alpha", "2=8"), True),  # 8 along a 4-d direction
+        (("--dim", "64", "--ids", "200", "--per-res", "10", "--seed", "7"), False),  # the desk
+    ])
+    def test_train_warns_when_a_mean_shift_is_beyond_the_tanh_gate(self, tmp_path, capsys,
+                                                                    gen_flags, warns):
+        data, out = str(tmp_path / "s.vpfa"), tmp_path / "p.vpnp"
+        assert run("gen", *gen_flags, "--out", data) == 0
+        capsys.readouterr()
+        assert run("train", "--data", data, "--hidden", "4", "--epochs", "1",
+                   "--out", str(out)) == 0
+        stdout, err = capsys.readouterr()
+        assert stdout.startswith("trained ") and "warning" not in stdout
+        if warns:
+            assert err.startswith("warning: the mean HR - LR shift of the training pairs "
+                                  "reaches ") and err.count("\n") == 1
+        else:
+            assert err == ""
+        assert out.is_file() and (tmp_path / "p.vpnp.log.csv").is_file()
+
     def test_train_is_reproducible(self, synth_file, tmp_path):
         out1 = tmp_path / "a.vpnp"
         out2 = tmp_path / "b.vpnp"

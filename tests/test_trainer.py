@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ from vpfa.trainer import (
     ADAM_BLOCK,
     AdamState,
     TrainConfig,
+    adam_slices,
     adam_step,
     build_prototype_pairs,
     law_of_cosines_check,
@@ -20,7 +22,16 @@ from vpfa.trainer import (
     training_pairs,
     vpl_loss,
 )
-from vpfa.vpnet import TENSOR_ORDER, NetConfig, VPParams, backward, forward, init_params
+from vpfa.vpnet import (
+    TENSOR_ORDER,
+    ForwardTrace,
+    NetConfig,
+    VPParams,
+    backward,
+    forward,
+    init_params,
+    parameter_count,
+)
 
 
 def tiny_set():
@@ -474,6 +485,64 @@ class TestTrain:
         z_lr, z_hr = (np.zeros(shape) for shape in shapes)
         with pytest.raises(ValueError, match="pairs must be two"):
             train(z_lr, z_hr, self.net_cfg, TrainConfig(epochs=1))
+
+
+class TestAdamInsideBackward:
+    """train steps Adam on slices of the parameter vector as backward
+    finishes them, through one slice-sized gradient buffer."""
+
+    @pytest.mark.parametrize("dim, hidden, want", [
+        (4, 3, [("4321", 0, 73)]),  # one call per step
+        (64, 64, [("432", 4288, 17024), ("1", 0, 4288)]),  # the desk: two Adam blocks
+        (3840, 2048, [("4", 16271360, 24139520), ("3", 12070912, 16271360),
+                      ("2", 7870464, 12070912), ("1", 0, 7870464)]),
+    ])
+    def test_slices(self, dim, hidden, want):
+        assert adam_slices(dim, hidden) == want
+
+    @pytest.mark.parametrize("dim, hidden", [(1, 1), (5, 200), (300, 7), (160, 128)])
+    def test_slices_tile_the_vector_from_the_end_down(self, dim, hidden):
+        slices = adam_slices(dim, hidden)
+        assert "".join(key for key, _, _ in slices) == "4321"
+        assert slices[0][2] == parameter_count(dim, hidden) and slices[-1][1] == 0
+        assert all(a[1] == b[2] for a, b in zip(slices, slices[1:]))
+
+    def test_equals_whole_vector_adam_when_each_group_spans_blocks(self):
+        # dim 160 / hidden 128: four slices of one group each, every one
+        # longer than ADAM_BLOCK; 70 pairs in batches of 32 end with 6
+        s = generate(SynthConfig(dim=160, num_identities=20, samples_per_res=4, seed=3))
+        net_cfg = NetConfig(dim=160, hidden=128, seed=2)
+        cfg = TrainConfig(epochs=2, num_pairs=70, batch_size=32, seed=4)
+        slices = adam_slices(160, 128)
+        assert len(slices) == 4 and min(hi - lo for _, lo, hi in slices) > ADAM_BLOCK
+        params, log = train(*training_pairs(s, cfg), net_cfg, cfg)
+        ref_params, ref_losses = reference_train(s, net_cfg, cfg)
+        assert params == ref_params
+        assert log.epoch_loss == ref_losses
+
+    def test_peak_memory_holds_three_parameter_vectors_and_one_slice(self):
+        # parameters and two moments, the largest slice's gradients, the
+        # step workspace and Adam's scratch; the slack covers numpy's
+        # casting buffers, far less than the gradient vector it replaces
+        dim, hidden, rows = 256, 256, 8
+        rng = np.random.default_rng(5)
+        z_lr = rng.standard_normal((20, dim))
+        z_hr = z_lr + 0.1
+        trace = ForwardTrace.allocate(rows, dim, hidden)
+        workspace = (sum(getattr(trace, name).nbytes for name in vars(trace)
+                         if isinstance(getattr(trace, name), np.ndarray))
+                     + 4 * rows * dim * 8 + 2 * ADAM_BLOCK * 8)
+        largest = max(hi - lo for _, lo, hi in adam_slices(dim, hidden))
+        vector = 8 * parameter_count(dim, hidden)
+        assert 8 * largest + 256 * 1024 < vector / 2  # a gradient vector breaks the bound
+        cfg = TrainConfig(epochs=1, batch_size=rows)
+        tracemalloc.start()
+        try:
+            train(z_lr, z_hr, NetConfig(dim=dim, hidden=hidden), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * vector + 8 * largest + workspace + 256 * 1024
 
 
 class TestTrainingPairs:

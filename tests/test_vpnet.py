@@ -5,14 +5,15 @@ import pytest
 
 from vpfa.errors import FormatError
 from vpfa.vpnet import (
+    BACKWARD_GROUPS,
     LN_EPS,
     TENSOR_ORDER,
     ForwardTrace,
     VPParams,
+    _layernorm,
     backward,
     forward,
     init_params,
-    layernorm_forward,
     load_params,
     parameter_count,
     save_params,
@@ -151,19 +152,27 @@ class TestFlatLayout:
         assert not np.any(out.flat)
 
 
+def layernorm(x, gamma, beta, eps=LN_EPS):
+    """The network's LayerNorm of ``x`` over its last axis, on fresh buffers."""
+    y = np.array(x, dtype=np.float64)
+    _layernorm(y, gamma, beta, eps, np.empty_like(y), np.empty(y.shape[:-1] + (1,)),
+               np.empty_like(y))
+    return y
+
+
 class TestLayerNorm:
     def test_constant_input_maps_to_zero(self):
-        y = layernorm_forward(np.full(8, 3.7), np.ones(8), np.zeros(8))
+        y = layernorm(np.full(8, 3.7), np.ones(8), np.zeros(8))
         np.testing.assert_allclose(y, 0.0, atol=1e-12)
 
     def test_symmetric_pair_is_fixed_point_at_zero_eps(self):
-        y = layernorm_forward(np.array([1.0, -1.0]), np.ones(2), np.zeros(2), eps=0.0)
+        y = layernorm(np.array([1.0, -1.0]), np.ones(2), np.zeros(2), eps=0.0)
         np.testing.assert_allclose(y, [1.0, -1.0], atol=1e-12)
 
     def test_moments_of_normalized_output(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(8)
-        y = layernorm_forward(x, np.ones(8), np.zeros(8))
+        y = layernorm(x, np.ones(8), np.zeros(8))
         assert abs(y.mean()) < 1e-12
         var = x.var()
         np.testing.assert_allclose(y.var(), var / (var + LN_EPS), atol=1e-12)
@@ -173,9 +182,9 @@ class TestLayerNorm:
         x = rng.standard_normal(6)
         gamma = rng.uniform(0.5, 2.0, 6)
         beta = rng.standard_normal(6)
-        base = layernorm_forward(x, np.ones(6), np.zeros(6))
+        base = layernorm(x, np.ones(6), np.zeros(6))
         np.testing.assert_allclose(
-            layernorm_forward(x, gamma, beta), gamma * base + beta, atol=1e-12
+            layernorm(x, gamma, beta), gamma * base + beta, atol=1e-12
         )
 
 
@@ -306,6 +315,36 @@ class TestBackward:
         _, trace = forward(p, np.ones((2, 4)))
         with pytest.raises(ValueError, match="shape"):
             backward(p, trace, np.ones((3, 4)))
+
+    def test_on_group_announces_each_group_once_in_finishing_order(self):
+        p = init_params(5, 4, init_std=0.3, seed=17)
+        _, trace = forward(p, np.ones((2, 5)))
+        announced = []
+        backward(p, trace, np.ones((2, 5)), on_group=announced.append)
+        assert announced == list(BACKWARD_GROUPS) == ["4", "3", "2", "1"]
+
+    def test_groups_cover_the_layout_from_the_end_down(self):
+        groups = [name for names in reversed(BACKWARD_GROUPS.values()) for name in names]
+        assert tuple(groups) == TENSOR_ORDER
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_announced_group_is_never_read_again(self, rows):
+        # poisoning each group's parameters as it is announced changes no
+        # gradient and not the input gradient: none of them reads it later
+        rng = np.random.default_rng(18)
+        p = init_params(5, 4, init_std=0.5, seed=19)
+        z, gout = rng.standard_normal((2, rows, 5))
+        want, want_input = backward(p, forward(p, z)[1], gout)
+        want_input = want_input.copy()
+
+        def poison(group):
+            for name in BACKWARD_GROUPS[group]:
+                getattr(p, name)[...] = np.nan
+
+        got, got_input = backward(p, forward(p, z)[1], gout, on_group=poison)
+        assert np.isnan(p.flat).all()
+        assert got == want
+        assert got_input.tobytes() == want_input.tobytes()
 
 
 
