@@ -3,9 +3,7 @@
 __version__ = "0.1.0"
 
 from .embeddings import (  # noqa: F401
-    EmbeddingRecord,
     EmbeddingSet,
-    Resolution,
     half_split_identities,
     load_set,
     save_set,

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .embeddings import EmbeddingSet, load_set, save_set
+from .embeddings import EmbeddingSet, load_set, rate_tag, save_set
 from .errors import VpfaError
 from .retrieval import (
     apply_panning,
@@ -402,7 +402,7 @@ def _cmd_project(args: argparse.Namespace, outputs: list[str]) -> None:
     sets = [load_set(path, args.format) for path in args.data]
     rows = project_2d(sets, num_identities=args.ids)
     _write_lines(args.out, ["identity,resolution,x,y"] + [
-        f"{identity},{resolution},{x:.17g},{y:.17g}" for identity, resolution, x, y in rows
+        f"{identity},{rate_tag(rate)},{x:.17g},{y:.17g}" for identity, rate, x, y in rows
     ])
     print(f"wrote {len(rows)} projected points to {args.out}")
 

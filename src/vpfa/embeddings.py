@@ -60,15 +60,30 @@ def check_lr_rates(rates: Sequence[int]) -> list[int]:
     return [check_lr_rate(rate) for rate in rates]
 
 
-@dataclass(frozen=True, order=True)
+def rate_tag(rate: int) -> str:
+    """The resolution tag of a rate, as CSV sets and reports write it: ``HR``
+    for 0, ``LRx<rate>`` for an LR rate."""
+    return "HR" if rate == 0 else f"LRx{rate}"
+
+
+# Every tag ``rate_tag`` writes, and its rate: HR, LRx2 ... LRx255.
+_TAG_RATES = {rate_tag(rate): rate for rate in (0, *range(2, 256))}
+
+
+def _tag_rate(text: str) -> int:
+    """The rate of a tag as ``rate_tag`` writes it, surrounding whitespace aside."""
+    tag = text.strip()
+    if tag not in _TAG_RATES:
+        raise ValueError(f"unknown resolution tag {tag!r}")
+    return _TAG_RATES[tag]
+
+
+@dataclass(frozen=True)
 class Resolution:
-    """Resolution tag: HR when ``rate == 0``, else downsampled by ``rate``."""
+    """The resolution of an :class:`EmbeddingRecord`: HR when ``rate == 0``,
+    else downsampled by ``rate``."""
 
-    rate: int = 0
-
-    def __post_init__(self) -> None:
-        if self.rate != 0:
-            check_lr_rate(self.rate)
+    rate: int
 
     @property
     def is_hr(self) -> bool:
@@ -79,45 +94,17 @@ class Resolution:
         return self.rate != 0
 
     def __str__(self) -> str:
-        return "HR" if self.rate == 0 else f"LRx{self.rate}"
-
-    @classmethod
-    def parse(cls, text: str) -> "Resolution":
-        """The resolution of a tag as ``str`` writes it, surrounding whitespace aside."""
-        return cls(_tag_rate(text))
-
-
-HR = Resolution(0)
-
-# Every tag ``str(Resolution)`` writes, and its rate: HR, LRx2 ... LRx255.
-_TAG_RATES = {str(Resolution(rate)): rate for rate in (0, *range(2, 256))}
-
-
-def _tag_rate(text: str) -> int:
-    tag = text.strip()
-    if tag not in _TAG_RATES:
-        raise ValueError(f"unknown resolution tag {tag!r}")
-    return _TAG_RATES[tag]
+        return rate_tag(self.rate)
 
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingRecord:
-    """One row of a set, as :attr:`EmbeddingSet.records` lists it.  Records are
-    equal when every field, and every byte of the vector, is equal."""
+    """One row of a set, as :attr:`EmbeddingSet.records` lists it."""
 
     identity: int
     camera: int
     resolution: Resolution
     vector: np.ndarray  # a read-only row of the set's matrix
-
-    def _key(self) -> tuple:
-        return self.identity, self.camera, self.resolution, self.vector.tobytes()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, EmbeddingRecord) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 class EmbeddingSet:
@@ -129,7 +116,7 @@ class EmbeddingSet:
     dtype is kept and made read-only; any other argument is copied.
     """
 
-    def __init__(self, matrix, identity, camera, rate, source_label: str = "") -> None:
+    def __init__(self, matrix, identity, camera, rate) -> None:
         matrix, identity, camera = (
             _column(matrix, np.float64), _column(identity, np.int64), _column(camera, np.int64))
         rate = np.asarray(rate)
@@ -147,7 +134,7 @@ class EmbeddingSet:
             if bad.any():
                 i = int(bad.argmax())
                 raise ValueError(message.format(i=i, r=rate[i]))
-        self.dim, self.source_label = int(matrix.shape[1]), source_label
+        self.dim = int(matrix.shape[1])
         self.matrix, self.identity_array, self.camera_array = matrix, identity, camera
         self.rate_array = _column(rate, np.uint8)
 
@@ -166,7 +153,7 @@ class EmbeddingSet:
         """New set of the rows where the boolean ``mask`` of length N holds, order preserved."""
         keep = self._mask(mask, "partition needs")
         return EmbeddingSet(self.matrix[keep], self.identity_array[keep], self.camera_array[keep],
-                            self.rate_array[keep], self.source_label)
+                            self.rate_array[keep])
 
     def identities(self) -> list[int]:
         """Sorted unique identity IDs."""
@@ -272,8 +259,7 @@ def _load_binary(path: Path) -> EmbeddingSet:
         )
     rows = np.frombuffer(data, dtype=dtype, count=count, offset=_HEADER.size)
     try:  # the set copies each field out of the file's bytes
-        return EmbeddingSet(
-            rows["vector"], rows["identity"], rows["camera"], rows["rate"], str(path))
+        return EmbeddingSet(rows["vector"], rows["identity"], rows["camera"], rows["rate"])
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -355,7 +341,7 @@ def _save_csv(eset: EmbeddingSet, path: Path) -> None:
 def _format_rows(eset: EmbeddingSet, start: int, stop: int) -> bytes:
     values = ",".join(["%.17g"] * eset.dim)  # the same digits as format(v, ".17g")
     return "".join(
-        f"{identity},{camera},{Resolution(rate)},{values % tuple(row)}\n"
+        f"{identity},{camera},{rate_tag(rate)},{values % tuple(row)}\n"
         for identity, camera, rate, row in zip(
             eset.identity_array[start:stop].tolist(), eset.camera_array[start:stop].tolist(),
             eset.rate_array[start:stop].tolist(), eset.matrix[start:stop].tolist(),
@@ -381,7 +367,7 @@ def _load_csv(path: Path) -> EmbeddingSet:
     del lines  # the parsed rows replace the text
     matrices, labels = zip(*parts)
     matrix = matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
-    return EmbeddingSet(matrix, *np.concatenate(labels).T, str(path))
+    return EmbeddingSet(matrix, *np.concatenate(labels).T)
 
 
 def _id_field(text: str) -> int:

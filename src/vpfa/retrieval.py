@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, Resolution
+from .embeddings import EmbeddingSet
 from .errors import DataError
 from .vpnet import ForwardTrace, VPParams, forward
 
@@ -74,9 +74,7 @@ def apply_panning(
         out[selected] = forward(params, eset.matrix[selected],
                                 ForwardTrace.forward_only(rows, params.dim, params.hidden))[0]
     # The set rejects non-finite rows, so a network that overflows fails here.
-    return EmbeddingSet(
-        out, eset.identity_array, eset.camera_array, eset.rate_array, eset.source_label
-    )
+    return EmbeddingSet(out, eset.identity_array, eset.camera_array, eset.rate_array)
 
 
 def _scores(query_mat, gallery_mat, metric):
@@ -236,16 +234,19 @@ def compare_centroids(
 
 def project_2d(
     sets: list[EmbeddingSet], num_identities: int | None = None
-) -> list[tuple[int, Resolution, float, float]]:
+) -> list[tuple[int, int, float, float]]:
     """Top-2 principal-component coordinates of the pooled records.
 
     Components come from the eigendecomposition of the pooled covariance;
     each component's sign is fixed so its first loading above 1e-12 in
-    magnitude is positive.  Rows are (identity, resolution, x, y) in pooled
-    record order.  ``num_identities`` keeps the first N sorted identities.
+    magnitude is positive.  Rows are (identity, rate, x, y) in pooled record
+    order, the rate 0 for HR.  ``num_identities`` keeps the first N sorted
+    identities.
     """
     if num_identities is not None and num_identities < 1:
         raise ValueError(f"num_identities must be at least 1, got {num_identities}")
+    if len({s.dim for s in sets}) > 1:
+        raise ValueError("sets have different dimensions")
     ids, rates, x = (np.concatenate([getattr(s, name) for s in sets])
                      for name in ("identity_array", "rate_array", "matrix"))
     if num_identities is not None:
@@ -266,5 +267,5 @@ def project_2d(
         if nonzero.size and loadings[nonzero[0]] < 0:
             top[:, c] = -loadings
     coords = centered @ top
-    return [(identity, Resolution(rate), cx, cy) for identity, rate, (cx, cy)
+    return [(identity, rate, cx, cy) for identity, rate, (cx, cy)
             in zip(ids.tolist(), rates.tolist(), coords.tolist())]

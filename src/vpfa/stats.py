@@ -23,12 +23,15 @@ import numpy as np
 
 from .embeddings import (
     EmbeddingSet,
-    Resolution,
     check_lr_rate,
     check_lr_rates,
     half_split_identities,
+    rate_tag,
 )
 from .errors import DataError
+
+# grouped_pearson counts the groups whose correlation exceeds this.
+PEARSON_THRESHOLD = 0.4
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -133,24 +136,21 @@ class PearsonEntry:
     std_r: float
     proportion_above: float
     group_count: int
-    threshold: float
 
 
 @dataclass(frozen=True)
 class StatsReport:
     split_cosine: dict[int, SplitCosineEntry]
     cca: dict[int, CcaEntry]
-    cca_eps: float
     pearson: dict[int, PearsonEntry]
 
 
-def _groups(eset: EmbeddingSet, rate: int) -> tuple[Resolution, dict, dict, list[int]]:
-    """The resolution at LR rate ``rate``, the row indices of each identity's
-    HR and LR-at-rate samples, in record order, and the sorted identities
-    that have both."""
+def _groups(eset: EmbeddingSet, rate: int) -> tuple[dict, dict, list[int]]:
+    """The row indices of each identity's HR and LR-at-``rate`` samples, in
+    record order, and the sorted identities that have both."""
     hr = eset.rows_by_identity(eset.rate_array == 0)
     lrs = eset.rows_by_identity(eset.rate_array == check_lr_rate(rate))
-    return Resolution(rate), hr, lrs, sorted(hr.keys() & lrs.keys())
+    return hr, lrs, sorted(hr.keys() & lrs.keys())
 
 
 def _paired_rows(hr: dict, lrs: dict, ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -173,10 +173,11 @@ def split_cosine(eset: EmbeddingSet, rate: int) -> SplitCosineEntry:
     shift of a half is (mean of per-identity HR means) minus (mean of
     per-identity LR means).
     """
-    lr, hr, lrs, ids = _groups(eset, rate)
+    hr, lrs, ids = _groups(eset, rate)
     if len(ids) < 2:
         raise DataError(
-            f"split cosine at {lr} needs >= 2 identities with both resolutions, got {len(ids)}"
+            f"split cosine at {rate_tag(rate)} needs >= 2 identities with both resolutions, "
+            f"got {len(ids)}"
         )
     first, second = half_split_identities(ids)
 
@@ -203,9 +204,9 @@ def cca_with_random_baseline(
     rows - 1, both sides are reduced to their top min(rows - 1, dim)
     principal components first (recorded in ``components``).
     """
-    lr, hr, lrs, ids = _groups(eset, rate)
+    hr, lrs, ids = _groups(eset, rate)
     if not ids:
-        raise DataError(f"no identities with both HR and {lr} records")
+        raise DataError(f"no identities with both HR and {rate_tag(rate)} records")
     if rows == "identity_mean":
         hr_mat, lr_mat = _means(eset, hr, ids), _means(eset, lrs, ids)
     elif rows == "per_sample":
@@ -239,7 +240,6 @@ def grouped_pearson(
     num_identities: int = 50,
     group_size: int = 2,
     seed: int = 0,
-    threshold: float = 0.4,
 ) -> PearsonEntry:
     """Correlate group-mean difference vectors with the global mean shift.
 
@@ -248,13 +248,15 @@ def grouped_pearson(
     identities are pooled, shuffled with ``seed``, and chunked into
     consecutive groups of ``group_size`` (trailing remainder dropped); each
     group's mean vector is Pearson-correlated against the global shift.
+    ``proportion_above`` is the share of groups whose r exceeds
+    ``PEARSON_THRESHOLD`` (0.4).
     """
     if num_identities < 1 or group_size < 1:
         raise ValueError("num_identities and group_size must be positive")
-    lr, hr, lrs, ids = _groups(eset, rate)
+    hr, lrs, ids = _groups(eset, rate)
     if len(ids) < num_identities:
         raise DataError(
-            f"grouped pearson at {lr} needs {num_identities} identities with "
+            f"grouped pearson at {rate_tag(rate)} needs {num_identities} identities with "
             f"paired samples, got {len(ids)}"
         )
     hr_rows, lr_rows = _paired_rows(hr, lrs, ids)
@@ -272,9 +274,8 @@ def grouped_pearson(
     return PearsonEntry(
         mean_r=float(rs.mean()),
         std_r=float(rs.std()),
-        proportion_above=float(np.mean(rs > threshold)),
+        proportion_above=float(np.mean(rs > PEARSON_THRESHOLD)),
         group_count=num_groups,
-        threshold=threshold,
     )
 
 
@@ -307,4 +308,4 @@ def analyze_set(
         pear[rate] = grouped_pearson(
             eset, rate, num_identities=num_identities, group_size=group_size, seed=seed
         )
-    return StatsReport(split_cosine=split, cca=cca, cca_eps=cca_eps, pearson=pear)
+    return StatsReport(split_cosine=split, cca=cca, pearson=pear)

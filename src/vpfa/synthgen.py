@@ -14,6 +14,7 @@ positions independent of the noise settings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,13 +45,15 @@ class SynthConfig:
             raise ValueError("need at least two samples per resolution")
         if self.cameras < 1:
             raise ValueError("need at least one camera")
-        if min(self.id_spread, self.sample_noise, self.shift_noise) < 0:
-            raise ValueError("noise scales must be non-negative")
+        scales = {"id_spread": self.id_spread, "sample_noise": self.sample_noise,
+                  "shift_noise": self.shift_noise,
+                  **{f"shift_magnitude[{r}]": v for r, v in self.shift_magnitude.items()}}
+        for name, value in scales.items():
+            if not 0 <= value < math.inf:  # also false for nan
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         for rate in check_lr_rates(self.rates):
             if rate not in self.shift_magnitude:
                 raise ValueError(f"no shift magnitude given for rate {rate}")
-        if any(v < 0 for v in self.shift_magnitude.values()):
-            raise ValueError("shift magnitudes must be non-negative")
 
 
 def planted_direction(cfg: SynthConfig) -> np.ndarray:
@@ -87,5 +90,4 @@ def generate(cfg: SynthConfig) -> EmbeddingSet:
         np.repeat(np.arange(cfg.num_identities), len(rates) * n),
         np.tile(np.arange(n) % cfg.cameras, cfg.num_identities * len(rates)),
         np.tile(np.repeat(rates, n), cfg.num_identities),
-        source_label=f"synth(seed={cfg.seed})",
     )

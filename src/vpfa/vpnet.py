@@ -102,8 +102,10 @@ def init_params(dim: int, hidden: int, init_std: float = 1e-3, seed: int = 0) ->
     """Gaussian weights N(0, init_std^2), zero biases, unit LayerNorm gains."""
     if dim < 1 or hidden < 1:
         raise ValueError("dim and hidden must be positive")
-    if init_std < 0:
-        raise ValueError("init_std must be non-negative")
+    if not 0 <= init_std < math.inf:  # also false for nan
+        raise ValueError(f"init_std must be finite and non-negative, got {init_std}")
+    if seed < 0:
+        raise ValueError(f"init seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     params = VPParams(dim, hidden, np.zeros(parameter_count(dim, hidden)))
     params.gamma1[...] = params.gamma2[...] = params.gamma3[...] = 1.0

@@ -39,7 +39,7 @@ def read_report(path):
 
 
 def run_pipeline(root):
-    """gen -> eval -> train(120 epochs) -> apply -> eval -> centroids."""
+    """gen -> eval -> train(120 epochs) -> apply -> eval -> centroids -> project."""
     paths = {
         "set": root / "s.vpfa",
         "before": root / "before.txt",
@@ -48,6 +48,7 @@ def run_pipeline(root):
         "panned": root / "panned.vpfa",
         "after": root / "after.txt",
         "centroids": root / "centroids.txt",
+        "coords": root / "coords.csv",
     }
     start = time.perf_counter()
     run_cli("gen", "--dim", "64", "--ids", "200", "--per-res", "10",
@@ -60,6 +61,8 @@ def run_pipeline(root):
     run_cli("eval", "--data", str(paths["panned"]), "--out", str(paths["after"]))
     run_cli("centroids", "--data", str(paths["set"]), "--params",
             str(paths["params"]), "--out", str(paths["centroids"]))
+    run_cli("project", "--data", str(paths["set"]), "--data", str(paths["panned"]),
+            "--ids", "12", "--out", str(paths["coords"]))
     paths["seconds"] = time.perf_counter() - start
     return paths
 
@@ -268,6 +271,7 @@ GOLDEN_HASHES = {
     "params": "13a95c4aab9e11b3",
     "log": "33a5e87e985cc337",
     "panned": "9ad4759aa5dac756",
+    "coords": "5ff1b82f84924edd",  # the project writer's tags and %.17g coordinates
 }
 
 

@@ -125,15 +125,29 @@ class TestErrorPaths:
         (["stats", "--rates", "2,256"], "LR rate must be >= 2 and <= 255, got 256"),
         (["train", "--rates", "2,2"], "LR rates must be distinct, got [2, 2]"),
         (["stats", "--rates", "2,2"], "LR rates must be distinct, got [2, 2]"),
+        (["gen", "--sigma-proto", "inf"], "id_spread must be finite and non-negative, got inf"),
+        (["gen", "--sigma-id", "nan"], "sample_noise must be finite and non-negative, got nan"),
+        (["gen", "--sigma-res=-inf"], "shift_noise must be finite and non-negative, got -inf"),
+        (["gen", "--alpha", "2=inf"],
+         "shift_magnitude[2] must be finite and non-negative, got inf"),
+        (["gen", "--rates", "2,3", "--alpha", "3=nan"],
+         "shift_magnitude[3] must be finite and non-negative, got nan"),
+        (["train", "--init-std", "nan"], "init_std must be finite and non-negative, got nan"),
+        (["train", "--init-std", "inf", "--epochs", "0"],
+         "init_std must be finite and non-negative, got inf"),
+        (["train", "--init-seed", "-1"], "init seed must be non-negative, got -1"),
     ], ids=["gen-300", "gen-1", "gen-alpha-0", "gen-repeated", "train-1", "train-300",
-            "stats-0", "stats-256", "train-repeated", "stats-repeated"])
-    def test_bad_lr_rate_exits_1_without_output(self, synth_file, tmp_path, capsys, argv,
-                                                message):
+            "stats-0", "stats-256", "train-repeated", "stats-repeated", "gen-sigma-proto-inf",
+            "gen-sigma-id-nan", "gen-sigma-res-inf", "gen-alpha-inf", "gen-alpha-nan",
+            "train-init-std-nan", "train-init-std-inf", "train-init-seed"])
+    def test_bad_flag_value_exits_1_without_output(self, synth_file, tmp_path, capsys, argv,
+                                                   message):
         data = [] if argv[0] == "gen" else ["--data", str(synth_file)]
-        if argv[0] == "train":  # a small network, should the rate pass unchecked
+        if argv[0] == "train":  # a small network, should the value pass unchecked
             data += ["--hidden", "4", "--epochs", "1", "--pairs", "8"]
         capsys.readouterr()
-        assert run(*argv, *data, "--out", str(tmp_path / "out")) == 1
+        # the case's own flags come last, so they override the defaults above
+        assert run(argv[0], *data, *argv[1:], "--out", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
@@ -558,14 +572,20 @@ class TestCentroidsAndProject:
 
 
 def test_no_command_builds_records(tmp_path, monkeypatch):
-    """Every command reads a set's arrays; none builds the per-record view."""
+    """Every command reads a set's arrays and writes tags through ``rate_tag``; none
+    builds the per-record view or a ``Resolution``."""
     monkeypatch.setattr(EmbeddingSet, "records",
                         property(lambda self: pytest.fail("a command built EmbeddingSet.records")))
+    monkeypatch.setattr(embeddings.Resolution, "__init__",
+                        lambda self, *args: pytest.fail("a command built a Resolution"))
     paths = {name: str(tmp_path / name) for name in
-             ("s.vpfa", "stats.txt", "eval.txt", "vp.vpnp", "panned.vpfa", "c.txt", "p.csv")}
+             ("s.vpfa", "s.csv", "stats.txt", "eval.txt", "vp.vpnp", "panned.vpfa", "c.txt",
+              "p.csv")}
     for argv in (
         ("gen", "--dim", "8", "--ids", "12", "--per-res", "4", "--rates", "2,3", "--seed", "2",
          "--out", paths["s.vpfa"]),
+        ("gen", "--dim", "8", "--ids", "12", "--per-res", "4", "--rates", "2,3", "--seed", "2",
+         "--format", "csv", "--out", paths["s.csv"]),
         ("stats", "--data", paths["s.vpfa"], "--pearson-ids", "10", "--out", paths["stats.txt"]),
         ("eval", "--data", paths["s.vpfa"], "--out", paths["eval.txt"], "--csv",
          str(tmp_path / "ap.csv")),

@@ -8,10 +8,11 @@ import pytest
 from vpfa import embeddings
 from vpfa.embeddings import (
     EmbeddingSet,
-    Resolution,
+    check_lr_rate,
     check_lr_rates,
     half_split_identities,
     load_set,
+    rate_tag,
     save_set,
 )
 from vpfa.errors import FormatError
@@ -23,7 +24,7 @@ def make_set(num=6, dim=4, seed=0):
     """Identities 0, 0, 1, 1, ...; cameras cycle 0-2; even rows HR, odd rows LRx(2 + i % 3)."""
     i = np.arange(num)
     return EmbeddingSet(np.random.default_rng(seed).standard_normal((num, dim)), i // 2, i % 3,
-                        np.where(i % 2 == 0, 0, 2 + i % 3), source_label="test")
+                        np.where(i % 2 == 0, 0, 2 + i % 3))
 
 
 def one_row(identity, camera, rate, vector):
@@ -39,18 +40,18 @@ def assert_columns_equal(a, b):
 
 class TestResolution:
     def test_parse_and_format(self):
-        assert str(Resolution(0)) == "HR"
-        assert str(Resolution(4)) == "LRx4"
-        assert Resolution.parse("HR") == Resolution(0)
-        assert Resolution.parse("LRx7") == Resolution(7)
+        assert rate_tag(0) == "HR"
+        assert rate_tag(4) == "LRx4"
+        assert embeddings._tag_rate("HR") == 0
+        assert embeddings._tag_rate("LRx7") == 7
         for rate in (0, *range(2, 256)):  # every tag the writer emits, padded or not
-            assert Resolution.parse(str(Resolution(rate))) == Resolution(rate)
-            assert Resolution.parse(f" {Resolution(rate)}\t") == Resolution(rate)
+            assert embeddings._tag_rate(rate_tag(rate)) == rate
+            assert embeddings._tag_rate(f" {rate_tag(rate)}\t") == rate
 
     @pytest.mark.parametrize("rate", [1, -1, 256])
     def test_rate_outside_lr_range_rejected(self, rate):
         with pytest.raises(ValueError, match=f"^LR rate must be >= 2 and <= 255, got {rate}$"):
-            Resolution(rate)
+            check_lr_rate(rate)
 
     @pytest.mark.parametrize("rates, message", [
         ([2, 3, 2], r"LR rates must be distinct, got \[2, 3, 2\]"),
@@ -68,7 +69,7 @@ class TestResolution:
                                      "LRx1_0", "LRx 2", "LRx2.0", "LRx-2", "LRx256"])
     def test_unknown_tag_rejected(self, tag):
         with pytest.raises(ValueError, match="unknown resolution tag"):
-            Resolution.parse(tag)
+            embeddings._tag_rate(tag)
 
 
 class TestRecordInvariants:
@@ -97,7 +98,7 @@ class TestCsvFormat:
         s = load_set(path, "csv")
         assert s.dim == 3
         assert len(s) == 2
-        assert s.records[1].resolution == Resolution(2)
+        assert s.records[1].resolution.rate == 2
         np.testing.assert_array_equal(s.records[0].vector, [1.0, 2.0, 3.0])
 
     def test_empty_record_section(self, tmp_path):
@@ -476,7 +477,7 @@ class TestPartition:
     def test_order_preserved(self):
         s = make_set(num=12)
         sub = s.partition(s.camera_array != 1)
-        positions = [s.records.index(r) for r in sub.records]
+        positions = [s.matrix.tolist().index(v) for v in sub.matrix.tolist()]
         assert positions == sorted(positions) and len(positions) == 8
 
 
@@ -534,15 +535,15 @@ def columns(num=12, dim=5, seed=6):
 class TestColumnarStorage:
     def test_list_built_set_equals_array_built_twin(self):
         matrix, ids, cams, rates = columns()
-        from_lists = EmbeddingSet(matrix.tolist(), ids, cams, rates, "x")
+        from_lists = EmbeddingSet(matrix.tolist(), ids, cams, rates)
         twin = EmbeddingSet(matrix, np.array(ids, np.uint16), np.array(cams, np.int32),
-                            np.array(rates, np.int64), "x")
+                            np.array(rates, np.int64))
         assert_columns_equal(from_lists, twin)
         assert twin.rate_array.dtype == np.uint8 and twin.matrix.dtype == np.float64
         assert twin.identity_array.dtype == twin.camera_array.dtype == np.int64
 
     def test_records_view_round_trips_and_shares_matrix(self):
-        s = EmbeddingSet(*columns(), "x")
+        s = EmbeddingSet(*columns())
         assert s.records is s.records  # built once
         rebuilt = EmbeddingSet([r.vector for r in s.records], [r.identity for r in s.records],
                                [r.camera for r in s.records],
@@ -555,11 +556,6 @@ class TestColumnarStorage:
                 s.identity_array[i], s.camera_array[i], s.rate_array[i])
             assert type(rec.identity) is int and type(rec.camera) is int
 
-    def test_records_compare_by_value(self):
-        a, b = EmbeddingSet(*columns(), "x"), EmbeddingSet(*columns(), "y")
-        assert a.records == b.records and len(set(a.records) | set(b.records)) == len(a)
-        assert a.records[0] != a.records[1]
-
     def test_mask_partition_equals_the_record_filter(self):
         s = make_set(num=30, dim=3, seed=12)
         for mask, pred in (
@@ -570,7 +566,7 @@ class TestColumnarStorage:
             kept = [r for r in s.records if pred(r)]
             filtered = EmbeddingSet(np.array([r.vector for r in kept]).reshape(-1, s.dim),
                                     [r.identity for r in kept], [r.camera for r in kept],
-                                    [r.resolution.rate for r in kept], s.source_label)
+                                    [r.resolution.rate for r in kept])
             assert_columns_equal(s.partition(mask), filtered)
 
     @pytest.mark.parametrize("mask", [[0, 1, 2], np.ones(5, dtype=bool), np.ones((6, 1), dtype=bool),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vpfa import retrieval
-from vpfa.embeddings import EmbeddingSet, Resolution
+from vpfa.embeddings import EmbeddingSet
 from vpfa.errors import DataError
 from vpfa.retrieval import (
     RetrievalReport,
@@ -18,12 +18,11 @@ from vpfa.synthgen import SynthConfig, generate
 from vpfa.trainer import TrainConfig, train, training_pairs
 from vpfa.vpnet import NetConfig, forward, init_params
 
-HR = Resolution(0)
-LR2 = Resolution(2)
+HR, LR2 = 0, 2  # rates
 
 
-def record(identity, camera, res, vec):
-    return identity, camera, res.rate, vec
+def record(identity, camera, rate, vec):
+    return identity, camera, rate, vec
 
 
 def make_set(dim, rows=()):
@@ -146,9 +145,9 @@ class TestApplyPanning:
         total = 0
         for identity in fresh.identities():
             own = fresh.identity_array == identity  # panned keeps fresh's row labels
-            hr = fresh.matrix[own & (fresh.rate_array == HR.rate)].mean(axis=0)
-            before = fresh.matrix[own & (fresh.rate_array == LR2.rate)].mean(axis=0)
-            after = panned.matrix[own & (panned.rate_array == LR2.rate)].mean(axis=0)
+            hr = fresh.matrix[own & (fresh.rate_array == HR)].mean(axis=0)
+            before = fresh.matrix[own & (fresh.rate_array == LR2)].mean(axis=0)
+            after = panned.matrix[own & (panned.rate_array == LR2)].mean(axis=0)
             total += 1
             closer += np.linalg.norm(hr - after) < np.linalg.norm(hr - before)
         assert closer / total >= 0.9
@@ -599,8 +598,16 @@ class TestProject2d:
         b = a.partition(a.identity_array != 3)
         rows = project_2d([a, b], num_identities=3)
         kept = [r for s in (a, b) for r in s.records if r.identity in (1, 3, 5)]
-        assert [(i, res) for i, res, _, _ in rows] == [(r.identity, r.resolution) for r in kept]
+        assert [(i, rate) for i, rate, _, _ in rows] == [
+            (r.identity, r.resolution.rate) for r in kept]
+        assert all(type(v) is int for i, rate, _, _ in rows for v in (i, rate))
         assert all(type(v) is float for _, _, x, y in rows for v in (x, y))
+
+    def test_sets_of_different_dimensions_rejected(self):
+        a = generate(SynthConfig(dim=8, num_identities=3, samples_per_res=2, seed=10))
+        b = generate(SynthConfig(dim=6, num_identities=3, samples_per_res=2, seed=10))
+        with pytest.raises(ValueError, match="^sets have different dimensions$"):
+            project_2d([a, b])
 
     def test_planted_gap_shrinks_after_panning_in_2d(self):
         cfg = SynthConfig(num_identities=12, seed=11)
@@ -613,10 +620,10 @@ class TestProject2d:
             rows = project_2d([eset], num_identities=12)
             gaps = []
             for identity in range(12):
-                hr_pts = [(x, y) for i, res, x, y in rows
-                          if i == identity and res.is_hr]
-                lr_pts = [(x, y) for i, res, x, y in rows
-                          if i == identity and res.is_lr]
+                hr_pts = [(x, y) for i, rate, x, y in rows
+                          if i == identity and rate == 0]
+                lr_pts = [(x, y) for i, rate, x, y in rows
+                          if i == identity and rate != 0]
                 gaps.append(np.linalg.norm(
                     np.mean(hr_pts, axis=0) - np.mean(lr_pts, axis=0)
                 ))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vpfa.embeddings import EmbeddingSet, Resolution, half_split_identities
+from vpfa.embeddings import EmbeddingSet, half_split_identities
 from vpfa.errors import DataError
 from vpfa.stats import (
     CcaEntry,
@@ -210,7 +210,7 @@ class TestSplitCosine:
         entry = split_cosine(s, 2)
         order = np.lexsort((s.camera_array, s.identity_array))  # stable: by identity, camera
         shuffled = EmbeddingSet(s.matrix[order], s.identity_array[order], s.camera_array[order],
-                                s.rate_array[order], "x")
+                                s.rate_array[order])
         assert split_cosine(shuffled, 2).cosine == pytest.approx(
             entry.cosine, abs=1e-12
         )
@@ -330,7 +330,7 @@ def walk_groups(eset, rate):
     for rec in eset.records:
         if rec.resolution.is_hr:
             hr.setdefault(rec.identity, []).append(rec.vector)
-        elif rec.resolution == Resolution(rate):
+        elif rec.resolution.rate == rate:
             lrs.setdefault(rec.identity, []).append(rec.vector)
     return hr, lrs, sorted(set(hr) & set(lrs))
 
@@ -365,7 +365,7 @@ def walk_cca(eset, rate, k=3, eps=1e-6, seed=0, rows="per_sample"):
     return CcaEntry(tuple(cca_top_k(hr_mat, lr_mat, k, eps)), tuple(baseline), n, components)
 
 
-def walk_pearson(eset, rate, num_identities, group_size, seed, threshold=0.4):
+def walk_pearson(eset, rate, num_identities, group_size, seed):
     hr, lrs, ids = walk_groups(eset, rate)
     diffs = {i: [h - l for h, l in zip(hr[i], lrs[i])] for i in ids}
     global_shift = np.mean([d for i in ids for d in diffs[i]], axis=0)
@@ -374,8 +374,7 @@ def walk_pearson(eset, rate, num_identities, group_size, seed, threshold=0.4):
     num_groups = len(pool) // group_size
     rs = np.array([pearson(np.mean([pool[j] for j in order[g * group_size:(g + 1) * group_size]],
                                    axis=0), global_shift) for g in range(num_groups)])
-    return PearsonEntry(float(rs.mean()), float(rs.std()), float(np.mean(rs > threshold)),
-                        num_groups, threshold)
+    return PearsonEntry(float(rs.mean()), float(rs.std()), float(np.mean(rs > 0.4)), num_groups)
 
 
 class TestEqualsTheRecordWalk:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vpfa.embeddings import EmbeddingSet, Resolution, save_set
+from vpfa.embeddings import EmbeddingSet, save_set
 from vpfa.synthgen import SynthConfig, generate, planted_direction
 
 
@@ -35,8 +35,7 @@ def reference_generate(cfg):
                 vec = base - shift + cfg.shift_noise * rng.standard_normal(cfg.dim)
                 rows.append((identity, j % cfg.cameras, rate, vec))
     identity, camera, rate, vectors = zip(*rows)
-    return EmbeddingSet(np.stack(vectors), identity, camera, rate,
-                        source_label=f"synth(seed={cfg.seed})")
+    return EmbeddingSet(np.stack(vectors), identity, camera, rate)
 
 
 class TestConfigValidation:
@@ -60,6 +59,19 @@ class TestConfigValidation:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             SynthConfig(sample_noise=-0.1)
+
+    @pytest.mark.parametrize("field", ["id_spread", "sample_noise", "shift_noise"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.5])
+    def test_scales_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite and non-negative, "
+                                             rf"got {value}$"):
+            SynthConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_shift_magnitudes_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match=rf"^shift_magnitude\[3\] must be finite and "
+                                             rf"non-negative, got {value}$"):
+            SynthConfig(rates=(2, 3), shift_magnitude={2: 1.0, 3: value})
 
 
 class TestGenerate:
@@ -93,7 +105,6 @@ class TestGenerate:
     ])
     def test_equals_the_record_loop_byte_for_byte(self, cfg):
         got, want = generate(cfg), reference_generate(cfg)
-        assert got.source_label == want.source_label
         for name in ("matrix", "identity_array", "camera_array", "rate_array"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -106,10 +117,10 @@ class TestGenerate:
         # per identity: 3 HR, then 3 LRx2, then 3 LRx4
         expected = []
         for identity in range(2):
-            for res in (Resolution(0), Resolution(2), Resolution(4)):
+            for rate in (0, 2, 4):
                 for j in range(3):
-                    expected.append((identity, j % 2, res))
-        got = [(r.identity, r.camera, r.resolution) for r in s.records]
+                    expected.append((identity, j % 2, rate))
+        got = [(r.identity, r.camera, r.resolution.rate) for r in s.records]
         assert got == expected
 
     def test_exact_shift_when_noise_free(self):

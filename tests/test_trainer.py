@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from vpfa import trainer
+from vpfa import trainer, vpnet
 from vpfa.embeddings import EmbeddingSet, check_lr_rates
 from vpfa.errors import DataError
 from vpfa.synthgen import SynthConfig, generate
@@ -473,8 +473,15 @@ class TestTrain:
         with pytest.raises(DataError, match="diverged"):
             train(*training_pairs(self.set, cfg), self.net_cfg, cfg)
 
-    def test_non_finite_parameters_are_a_data_error(self):
-        net_cfg = NetConfig(dim=64, hidden=8, init_std=float("inf"))
+    def test_non_finite_parameters_are_a_data_error(self, monkeypatch):
+        def init_params(*args):  # init_params itself rejects a non-finite init_std
+            params = vpnet_init(*args)
+            params.w2[0, 0] = np.inf
+            return params
+
+        vpnet_init = vpnet.init_params
+        monkeypatch.setattr(vpnet, "init_params", init_params)
+        net_cfg = NetConfig(dim=64, hidden=8)
         cfg = TrainConfig(epochs=0, num_pairs=8)
         with pytest.raises(DataError, match="non-finite"):
             train(*training_pairs(self.set, cfg), net_cfg, cfg)

@@ -69,6 +69,19 @@ class TestInit:
         for name in ("gamma1", "gamma2", "gamma3"):
             np.testing.assert_array_equal(getattr(p, name), np.ones(3))
 
+    @pytest.mark.parametrize("init_std, message", [
+        (float("nan"), "init_std must be finite and non-negative, got nan"),
+        (float("inf"), "init_std must be finite and non-negative, got inf"),
+        (-1.0, "init_std must be finite and non-negative, got -1.0"),
+    ])
+    def test_init_std_must_be_finite_and_non_negative(self, init_std, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            init_params(4, 3, init_std=init_std)
+
+    def test_init_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="^init seed must be non-negative, got -1$"):
+            init_params(4, 3, seed=-1)
+
     def test_parameter_count_formula(self):
         # by hand: two dim x hidden mats, two hidden x hidden mats,
         # three hidden biases, six layernorm vectors, one dim bias
