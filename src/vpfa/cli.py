@@ -9,13 +9,14 @@ from its manifest alone.  Input files are never modified.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .embeddings import EmbeddingSet, load_set, rate_tag, save_set
+from .embeddings import EmbeddingSet, check_lr_rates, load_set, rate_tag, save_set
 from .errors import VpfaError
 from .retrieval import (
     apply_panning,
@@ -27,9 +28,18 @@ from .retrieval import (
 from .stats import analyze_set
 from .synthgen import SynthConfig, generate
 from .trainer import TrainConfig, train, training_pairs
-from .vpnet import NetConfig, load_params, parameter_count, save_params
+from .vpnet import NetConfig, check_init, load_params, parameter_count, save_params
 
 STATS_TABLES = ("split_cosine", "cca", "pearson")  # the --csv-prefix tables, in write order
+
+try:  # glibc's; other C libraries leave freed memory to their allocator
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
+# A dropped set below this size keeps at most this much resident; releasing the
+# free heap for it would cost the next large heap array its page faults (5 ms of
+# the desk set's 60 ms eval, whose 32 MB score matrix is served from the heap).
+RELEASE_MIN_BYTES = 4 << 20
 
 
 def main() -> None:
@@ -219,10 +229,30 @@ def _write_lines(path: str, lines) -> None:
         fh.writelines(f"{line}\n" for line in lines)
 
 
-def _split_queries(eset: EmbeddingSet) -> tuple[EmbeddingSet, EmbeddingSet]:
+def _load_queries(path: str, fmt: str) -> tuple[EmbeddingSet, EmbeddingSet]:
+    """The LR queries and the HR gallery of the set at ``path``, as copies; the
+    loaded set is dropped, and its memory handed back from ``RELEASE_MIN_BYTES``
+    up, before they return."""
+    eset = load_set(path, fmt)
     query = eset.partition(eset.rate_array != 0)
     gallery = eset.partition(eset.rate_array == 0)
+    dropped = eset.matrix.nbytes
+    del eset
+    if dropped >= RELEASE_MIN_BYTES:
+        _release_free_memory()
     return query, gallery
+
+
+def _release_free_memory() -> None:
+    """Return the allocator's free pages to the system (glibc's ``malloc_trim``).
+
+    glibc serves an array under its mmap threshold (up to 32 MB) from the heap
+    and gives a freed one back only from the heap's top, so without this a
+    dropped set still counts toward the peak or not depending on what earlier
+    work left above it.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 def _cmd_gen(args: argparse.Namespace, outputs: list[str]) -> None:
@@ -297,10 +327,7 @@ def _cmd_stats(args: argparse.Namespace, outputs: list[str]) -> None:
 
 
 def _cmd_train(args: argparse.Namespace, outputs: list[str]) -> None:
-    eset = load_set(args.data, args.format)
-    net_cfg = NetConfig(
-        dim=eset.dim, hidden=args.hidden, init_std=args.init_std, seed=args.init_seed
-    )
+    # Every flag is checked before the set is read.
     cfg = TrainConfig(
         epochs=args.epochs,
         learning_rate=args.lr,
@@ -309,6 +336,13 @@ def _cmd_train(args: argparse.Namespace, outputs: list[str]) -> None:
         num_pairs=args.pairs,
         seed=args.train_seed,
         bootstrap_fraction=args.bootstrap_frac,
+    )
+    check_init(args.hidden, args.init_std, args.init_seed)
+    if args.rates is not None:
+        check_lr_rates(args.rates)
+    eset = load_set(args.data, args.format)
+    net_cfg = NetConfig(
+        dim=eset.dim, hidden=args.hidden, init_std=args.init_std, seed=args.init_seed
     )
     z_lr, z_hr = training_pairs(eset, cfg, rates=args.rates)
     # The optimizer never reads the set: free it before train allocates the
@@ -341,8 +375,7 @@ def _cmd_apply(args: argparse.Namespace, outputs: list[str]) -> None:
 
 
 def _cmd_eval(args: argparse.Namespace, outputs: list[str]) -> None:
-    eset = load_set(args.data, args.format)
-    query, gallery = _split_queries(eset)
+    query, gallery = _load_queries(args.data, args.format)
     report = evaluate(
         query,
         gallery,
@@ -368,8 +401,7 @@ def _cmd_eval(args: argparse.Namespace, outputs: list[str]) -> None:
 
 
 def _cmd_centroids(args: argparse.Namespace, outputs: list[str]) -> None:
-    eset = load_set(args.data, args.format)
-    query, gallery = _split_queries(eset)
+    query, gallery = _load_queries(args.data, args.format)
     lines = [f"source: {args.data}"]
     if args.params:
         report = compare_centroids(gallery, query, apply_panning(load_params(args.params), query))

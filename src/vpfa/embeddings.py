@@ -124,8 +124,12 @@ class EmbeddingSet:
             raise ValueError(f"matrix must be (N, dim) with dim >= 1, got shape {matrix.shape}")
         if not matrix.shape[0] == identity.shape[0] == camera.shape[0] == rate.shape[0]:
             raise ValueError("matrix, identity, camera and rate differ in length")
+        # min and max carry any NaN and show any infinity without an N x dim mask;
+        # one is built only to name the first bad record (``initial``: an empty set passes)
+        if not (math.isfinite(matrix.min(initial=0.0)) and math.isfinite(matrix.max(initial=0.0))):
+            i = int(np.argmin(np.isfinite(matrix).all(axis=1)))
+            raise ValueError(f"non-finite value in record {i}")
         for bad, message in (  # one vectorized pass per check
-            (~np.isfinite(matrix).all(axis=1), "non-finite value in record {i}"),
             ((identity < 0) | (camera < 0),
              "record {i}: identity and camera IDs must be non-negative"),
             ((rate == 1) | (rate < 0) | (rate > 255),

@@ -60,21 +60,31 @@ def apply_panning(
     ``target`` is ``lr`` (default: only LR records are panned, HR records
     are reused untouched) or ``all``.  The selected rows go through one
     :func:`forward` call in a forward-only workspace, which is freed before
-    the new set is built.
+    the output is allocated.  When every row is selected, the set's own
+    matrix is the input and the network's output becomes the new matrix, so
+    neither the input rows nor the output are copied.
     """
     if params.dim != eset.dim:
         raise ValueError(f"params dim {params.dim} != set dim {eset.dim}")
     if target not in ("lr", "all"):
         raise ValueError(f"unknown target {target!r}")
     selected = eset.rate_array != 0 if target == "lr" else np.ones(len(eset), dtype=bool)
-    out = eset.matrix.copy()
     rows = int(np.count_nonzero(selected))
-    if rows:
-        # one call over every selected row: its matmul shapes fix the output bits
-        out[selected] = forward(params, eset.matrix[selected],
-                                ForwardTrace.forward_only(rows, params.dim, params.hidden))[0]
+    if rows == len(eset):
+        out = _pan(params, eset.matrix)
+    else:
+        panned = _pan(params, eset.matrix[selected])
+        out = eset.matrix.copy()
+        out[selected] = panned
     # The set rejects non-finite rows, so a network that overflows fails here.
     return EmbeddingSet(out, eset.identity_array, eset.camera_array, eset.rate_array)
+
+
+def _pan(params: VPParams, z: np.ndarray) -> np.ndarray:
+    """The network's output for the rows of ``z``, from one :func:`forward`
+    call (its matmul shapes fix the output bits); only the output outlives
+    the workspace."""
+    return forward(params, z, ForwardTrace.forward_only(len(z), params.dim, params.hidden))[0]
 
 
 def _scores(query_mat, gallery_mat, metric):

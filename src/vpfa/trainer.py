@@ -150,7 +150,8 @@ ADAM_BLOCK = 16384
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
-    work: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_BLOCK)), repr=False)
+    # adam_step's scratch: it grows to the largest block on first use
+    work: np.ndarray = field(default_factory=lambda: np.empty((2, 0)), repr=False)
 
     @classmethod
     def zeros_like(cls, tensors: dict[str, np.ndarray]) -> "AdamState":
@@ -173,10 +174,12 @@ def adam_step(
     The decay is folded into the gradient (g + wd * theta) before the
     moment updates; bias correction uses step index ``t`` (>= 1).
 
-    Each tensor is walked in blocks of ``ADAM_BLOCK`` elements with in-place
-    ufuncs into two scratch rows kept in ``state``, so a step allocates no
-    tensor-sized temporaries.  Each operation keeps this association, which
-    makes the result bit-identical to the unblocked formula::
+    Each tensor of n elements is walked in max(1, n // ADAM_BLOCK) blocks of
+    near-equal size (a tail shorter than ``ADAM_BLOCK`` joins the blocks
+    before it) with in-place ufuncs into two scratch rows kept in ``state``,
+    which grow to the largest block, so a step allocates no tensor-sized
+    temporaries.  Each operation keeps this association, which makes the
+    result bit-identical to the unblocked formula::
 
         g = grad + (wd * theta)
         m = beta1 * m + (1 - beta1) * g
@@ -192,8 +195,14 @@ def adam_step(
         if not (theta.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
             raise ValueError(f"adam_step updates C-contiguous tensors only ({name})")
         flat = [a.reshape(-1) for a in (theta, grads[name], m, v)]
-        for lo in range(0, theta.size, ADAM_BLOCK):
-            th, gr, mb, vb = (a[lo : lo + ADAM_BLOCK] for a in flat)
+        blocks = max(1, theta.size // ADAM_BLOCK)
+        bounds = [theta.size * k // blocks for k in range(blocks + 1)]
+        width = -(-theta.size // blocks)  # the largest block
+        if state.work.shape[1] < width:
+            state.work = None  # freed before its replacement exists
+            state.work = np.empty((2, width))
+        for lo, hi in zip(bounds, bounds[1:]):
+            th, gr, mb, vb = (a[lo:hi] for a in flat)
             g, tmp = state.work[:, : th.size]
             np.add(gr, np.multiply(wd, th, out=g), out=g)
             mb *= beta1
@@ -213,13 +222,14 @@ def adam_slices(dim: int, hidden: int) -> list[tuple[str, int, int]]:
 
     The groups finish from the end of ``flat`` down, so the finished
     gradients always form a suffix of it.  Consecutive groups share a slice
-    while it fits in max(largest group, ADAM_BLOCK) elements: a small
-    network takes one or two blocks per step, the production shape four
-    slices of at most one group.
+    while it is one Adam block (under 2 * ADAM_BLOCK elements, see
+    :func:`adam_step`) or no longer than the largest group: the desk
+    network takes one call of one block per step, the production shape four
+    slices of one group each.
     """
     shapes = tensor_shapes(dim, hidden)
     sizes = [sum(math.prod(shapes[n]) for n in names) for names in BACKWARD_GROUPS.values()]
-    cap = max(*sizes, ADAM_BLOCK)
+    cap = max(*sizes, 2 * ADAM_BLOCK - 1)
     slices, lo = [], sum(sizes)
     for group, size in zip(BACKWARD_GROUPS, sizes):
         if slices and slices[-1][2] - (lo - size) <= cap:

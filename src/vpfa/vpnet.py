@@ -98,14 +98,23 @@ class VPParams:
         return {name: getattr(self, name) for name in TENSOR_ORDER}
 
 
-def init_params(dim: int, hidden: int, init_std: float = 1e-3, seed: int = 0) -> VPParams:
-    """Gaussian weights N(0, init_std^2), zero biases, unit LayerNorm gains."""
-    if dim < 1 or hidden < 1:
-        raise ValueError("dim and hidden must be positive")
+def check_init(hidden: int, init_std: float, seed: int) -> None:
+    """Refuse the settings :func:`init_params` cannot build a network from at
+    any input dimension: a hidden width below 1, an ``init_std`` that is not
+    finite and non-negative, a negative seed."""
+    if hidden < 1:
+        raise ValueError(f"hidden must be positive, got {hidden}")
     if not 0 <= init_std < math.inf:  # also false for nan
         raise ValueError(f"init_std must be finite and non-negative, got {init_std}")
     if seed < 0:
         raise ValueError(f"init seed must be non-negative, got {seed}")
+
+
+def init_params(dim: int, hidden: int, init_std: float = 1e-3, seed: int = 0) -> VPParams:
+    """Gaussian weights N(0, init_std^2), zero biases, unit LayerNorm gains."""
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
+    check_init(hidden, init_std, seed)
     rng = np.random.default_rng(seed)
     params = VPParams(dim, hidden, np.zeros(parameter_count(dim, hidden)))
     params.gamma1[...] = params.gamma2[...] = params.gamma3[...] = 1.0
@@ -347,6 +356,7 @@ def load_params(path: str | Path) -> VPParams:
             )
         # the body straight into the parameter vector (astype copies only on big-endian hosts)
         flat = np.fromfile(fh, "<f8", count=count).astype(np.float64, copy=False)
-    if not np.isfinite(flat).all():
+    # min and max carry any NaN and show any infinity, without a parameter-sized mask
+    if not (math.isfinite(flat.min()) and math.isfinite(flat.max())):
         raise FormatError(f"{path}: non-finite parameter values")
     return VPParams(dim, hidden, flat)

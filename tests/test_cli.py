@@ -5,6 +5,8 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from vpfa import cli, embeddings
 from vpfa.cli import dispatch
 from vpfa.embeddings import EmbeddingSet, load_set, save_set
 from vpfa.synthgen import SynthConfig, generate
-from vpfa.vpnet import TENSOR_ORDER, init_params, load_params, save_params
+from vpfa.vpnet import TENSOR_ORDER, init_params, load_params, parameter_count, save_params
 
 
 def run(*argv):
@@ -150,6 +152,25 @@ class TestErrorPaths:
         assert run(argv[0], *data, *argv[1:], "--out", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--init-std", "nan"], "init_std must be finite and non-negative, got nan"),
+        (["--init-seed", "-1"], "init seed must be non-negative, got -1"),
+        (["--hidden", "0"], "hidden must be positive, got 0"),
+        (["--rates", "2,300"], "LR rate must be >= 2 and <= 255, got 300"),
+        (["--lr", "nan"], "learning_rate and weight_decay must be finite"),
+        (["--bootstrap-frac", "2"], "bootstrap_fraction must be in (0, 1]"),
+    ], ids=["init-std", "init-seed", "hidden", "rates", "lr", "bootstrap-frac"])
+    def test_train_flags_are_checked_before_the_set_is_read(self, tmp_path, capsys,
+                                                            monkeypatch, argv, message):
+        def load_set(*args):
+            raise AssertionError("train read the set before checking its flags")
+
+        monkeypatch.setattr("vpfa.cli.load_set", load_set)
+        capsys.readouterr()
+        assert run("train", "--data", str(tmp_path / "s.vpfa"), *argv,
+                   "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_negative_identity_in_csv_exits_1(self, tmp_path, capsys):
         data = tmp_path / "s.csv"
@@ -569,6 +590,75 @@ class TestCentroidsAndProject:
         assert run("project", "--data", str(synth_file), "--ids", ids, "--out", str(out)) == 1
         assert capsys.readouterr().err == f"error: num_identities must be at least 1, got {ids}\n"
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def wide_files(tmp_path_factory):
+    """A 400 x 2048 set of 200 LR queries and 200 HR gallery items, and a
+    hidden-256 network for it: wide rows, so a set outweighs the scores."""
+    folder = tmp_path_factory.mktemp("wide")
+    data, params = folder / "w.vpfa", folder / "w.vpnp"
+    assert run("gen", "--dim", "2048", "--ids", "40", "--per-res", "5", "--seed", "3",
+               "--out", str(data)) == 0
+    save_params(init_params(2048, 256, init_std=0.01, seed=4), params)
+    return data, params
+
+
+def traced_peak(*argv):
+    """The largest traced allocation total while ``dispatch(argv)`` runs."""
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0, argv
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestInferenceMemory:
+    """eval and centroids keep only the partitions of the set they load."""
+
+    SET_BYTES, SCORE_BYTES, SLACK = 8 * 400 * 2048, 8 * 200 * 200, 1 << 20
+
+    def test_eval_holds_two_sets_at_most(self, wide_files, tmp_path):
+        # loading (file bytes and matrix), splitting (set and partitions) and
+        # cosine scoring (partitions and their normalized copies) each hold two
+        # sets; one more would not fit
+        peak = traced_peak("eval", "--data", str(wide_files[0]), "--out", str(tmp_path / "e.txt"))
+        assert peak <= 2 * self.SET_BYTES + 4 * self.SCORE_BYTES + self.SLACK
+
+    def test_centroids_with_params_holds_the_partitions_and_one_forward(self, wide_files,
+                                                                        tmp_path):
+        # panning the all-LR queries reads their matrix in place and keeps the
+        # network's output: partitions, parameters and a forward-only workspace
+        data, params = wide_files
+        workspace = 8 * (4 * 256 + 2048) * 200
+        peak = traced_peak("centroids", "--data", str(data), "--params", str(params),
+                           "--out", str(tmp_path / "c.txt"))
+        assert peak <= (self.SET_BYTES + 8 * parameter_count(2048, 256) + workspace
+                        + self.SLACK)
+
+    @pytest.mark.parametrize("gate, want", [(SET_BYTES, [[True]]), (SET_BYTES + 1, [])])
+    @pytest.mark.parametrize("command", ["eval", "centroids"])
+    def test_free_memory_is_released_once_the_loaded_set_is_gone(self, wide_files, tmp_path,
+                                                                 monkeypatch, command, gate, want):
+        # a dropped set under glibc's mmap threshold stays resident until the
+        # heap is trimmed, so the trim must come after the set dies and before
+        # the scores or the forward pass; a set under the gate is not worth one
+        data, params = wide_files
+        real_load, matrices, released = cli.load_set, [], []
+
+        def load(*args):
+            eset = real_load(*args)
+            matrices.append(weakref.ref(eset.matrix))
+            return eset
+
+        monkeypatch.setattr(cli, "load_set", load)
+        monkeypatch.setattr(cli, "RELEASE_MIN_BYTES", gate)
+        monkeypatch.setattr(cli, "_release_free_memory",
+                            lambda: released.append([m() is None for m in matrices]))
+        extra = ("--params", str(params)) if command == "centroids" else ()
+        assert run(command, "--data", str(data), *extra, "--out", str(tmp_path / "o.txt")) == 0
+        assert released == want
 
 
 def test_no_command_builds_records(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -598,6 +599,8 @@ class TestColumnarStorage:
 
     @pytest.mark.parametrize("column, value, message", [
         (0, np.inf, "non-finite value in record 4"),
+        (0, -np.inf, "non-finite value in record 4"),
+        (0, np.nan, "non-finite value in record 4"),
         (1, -1, "record 4: identity and camera IDs must be non-negative"),
         (2, -2, "record 4: identity and camera IDs must be non-negative"),
         (3, 1, "record 4: LR rate must be >= 2"),
@@ -609,6 +612,17 @@ class TestColumnarStorage:
         cols[column][7] = value
         with pytest.raises(ValueError, match=message):
             EmbeddingSet(*cols)
+
+    def test_finiteness_check_builds_no_mask_of_the_matrix(self):
+        matrix = np.random.default_rng(7).standard_normal((2000, 64))
+        labels = np.zeros(2000, np.int64)
+        tracemalloc.start()
+        try:
+            EmbeddingSet(matrix, labels, labels, np.zeros(2000, np.uint8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix.size // 8  # an N x dim bool mask takes matrix.size bytes
 
     def test_constructor_rejects_mismatched_shapes(self):
         matrix, ids, cams, rates = columns(num=6)

@@ -88,7 +88,7 @@ class TestApplyPanning:
             apply_panning(init_params(16, 8), s)
 
     @pytest.mark.parametrize("dim, hidden", [(8, 4), (4, 16)])
-    @pytest.mark.parametrize("rows", ["lr", "all", "one_lr", "no_lr"])
+    @pytest.mark.parametrize("rows", ["lr", "all", "one_lr", "no_lr", "none"])
     def test_rows_equal_one_forward_of_the_selected_rows(self, dim, hidden, rows):
         s = generate(SynthConfig(dim=dim, num_identities=6, rates=(2, 3),
                                  shift_magnitude={2: 1.0, 3: 2.0}, seed=4))
@@ -96,7 +96,9 @@ class TestApplyPanning:
             s = s.partition((s.rate_array == 0) | (np.arange(len(s)) == np.argmax(s.rate_array)))
         elif rows == "no_lr":
             s = s.partition(s.rate_array == 0)
-        target = "all" if rows == "all" else "lr"
+        elif rows == "none":  # an empty set, every row of it selected
+            s = s.partition(np.zeros(len(s), bool))
+        target = "all" if rows in ("all", "none") else "lr"
         chosen = np.ones(len(s), bool) if target == "all" else s.rate_array != 0
         params = init_params(dim, hidden, init_std=0.5, seed=5)
         out = apply_panning(params, s, target=target)
@@ -109,21 +111,30 @@ class TestApplyPanning:
         for name in ("identity_array", "camera_array", "rate_array"):
             assert getattr(out, name).tobytes() == getattr(s, name).tobytes()
 
-    def test_peak_memory_is_output_rows_and_a_forward_only_workspace(self):
+    @pytest.mark.parametrize("target", ["lr", "all"])
+    def test_peak_memory_is_output_rows_and_a_forward_only_workspace(self, target):
         dim, hidden = 96, 256
         s = generate(SynthConfig(dim=dim, num_identities=40, samples_per_res=8, seed=8))
+        assert 2 * np.count_nonzero(s.rate_array) == len(s)  # half LR
         params = init_params(dim, hidden, init_std=0.1, seed=9)
-        rows = int(np.count_nonzero(s.rate_array))
+        rows = len(s) if target == "all" else int(np.count_nonzero(s.rate_array))
         tracemalloc.start()
         try:
-            apply_panning(params, s)
+            apply_panning(params, s, target=target)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the output copy, the selected input rows, and a workspace of four
-        # hidden-wide and one dim-wide buffer (a full trace holds nine and three);
-        # the margin is one numpy ufunc buffer plus a few columns and masks
-        bound = 8 * (len(s) * dim + rows * dim + (4 * hidden + dim) * rows)
+        # A workspace of four hidden-wide and one dim-wide buffer (a full trace
+        # holds nine and three), the last of them the panned rows, and the
+        # selected input rows; the output is allocated only once the workspace
+        # is freed.  With every row selected, the set's matrix is the input and
+        # the panned rows are the output.  The margin is one numpy ufunc buffer
+        # plus a few columns and masks.
+        workspace = 8 * (4 * hidden + dim) * rows
+        if target == "all":
+            bound = workspace
+        else:
+            bound = max(workspace + 8 * rows * dim, 8 * (rows + len(s)) * dim)
         assert peak <= bound + 8 * np.getbufsize() + 16384
 
     def test_non_finite_output_rejected(self):

@@ -309,6 +309,10 @@ class TestAdamStep:
     @pytest.mark.parametrize("shapes", [
         {"theta": (3 * ADAM_BLOCK + 1234,)},
         {"w": (37, ADAM_BLOCK // 16), "b": (5,), "gain": (1, 3), "empty": (0,)},
+        # a tail shorter than a block joins the blocks before it
+        {"one_block_and_a_tail": (2 * ADAM_BLOCK - 1,)},
+        {"desk_slice": (17024,)},
+        {"blocks_and_a_long_tail": (5 * ADAM_BLOCK - 3,), "exact": (2 * ADAM_BLOCK,)},
     ])
     def test_blocked_is_bit_identical_to_unblocked_formula(self, shapes):
         rng = np.random.default_rng(11)
@@ -325,6 +329,17 @@ class TestAdamStep:
             assert tensors[k].tobytes() == ref[k].tobytes()
             assert state.m[k].tobytes() == m[k].tobytes()
             assert state.v[k].tobytes() == v[k].tobytes()
+
+    @pytest.mark.parametrize("size, width", [
+        (5, 5), (ADAM_BLOCK, ADAM_BLOCK), (2 * ADAM_BLOCK - 1, 2 * ADAM_BLOCK - 1),
+        (17024, 17024), (5 * ADAM_BLOCK - 3, -(-(5 * ADAM_BLOCK - 3) // 4)),
+    ])
+    def test_scratch_grows_to_the_largest_block(self, size, width):
+        # n // ADAM_BLOCK near-equal blocks: a short tail joins the blocks before it
+        tensors = {"theta": np.ones(size)}
+        state = AdamState.zeros_like(tensors)
+        adam_step(tensors, {"theta": np.ones(size)}, state, lr=0.1)
+        assert state.work.shape == (2, width)
 
     def test_non_contiguous_tensor_rejected(self):
         tensors = {"w": np.ones((4, 4))[:, :2]}
@@ -500,12 +515,26 @@ class TestAdamInsideBackward:
 
     @pytest.mark.parametrize("dim, hidden, want", [
         (4, 3, [("4321", 0, 73)]),  # one call per step
-        (64, 64, [("432", 4288, 17024), ("1", 0, 4288)]),  # the desk: two Adam blocks
+        (64, 64, [("4321", 0, 17024)]),  # the desk: one call of one Adam block
         (3840, 2048, [("4", 16271360, 24139520), ("3", 12070912, 16271360),
                       ("2", 7870464, 12070912), ("1", 0, 7870464)]),
     ])
     def test_slices(self, dim, hidden, want):
         assert adam_slices(dim, hidden) == want
+
+    def test_desk_network_steps_adam_once_per_batch(self, monkeypatch):
+        calls = []
+
+        def counting_adam_step(tensors, grads, state, **kwargs):
+            calls.append([t.size for t in tensors.values()])
+            return adam_step(tensors, grads, state, **kwargs)
+
+        monkeypatch.setattr(trainer, "adam_step", counting_adam_step)
+        rng = np.random.default_rng(6)
+        z_lr = rng.standard_normal((70, 64))
+        cfg = TrainConfig(epochs=2, batch_size=32)
+        train(z_lr, z_lr + 0.1, NetConfig(dim=64, hidden=64), cfg)
+        assert calls == [[parameter_count(64, 64)]] * (2 * 3)
 
     @pytest.mark.parametrize("dim, hidden", [(1, 1), (5, 200), (300, 7), (160, 128)])
     def test_slices_tile_the_vector_from_the_end_down(self, dim, hidden):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,13 @@ class TestInit:
     def test_init_std_must_be_finite_and_non_negative(self, init_std, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             init_params(4, 3, init_std=init_std)
+
+    @pytest.mark.parametrize("dim, hidden, message", [
+        (0, 3, "dim must be positive, got 0"), (4, 0, "hidden must be positive, got 0"),
+    ])
+    def test_sizes_must_be_positive(self, dim, hidden, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            init_params(dim, hidden)
 
     def test_init_seed_must_be_non_negative(self):
         with pytest.raises(ValueError, match="^init seed must be non-negative, got -1$"):
@@ -416,8 +424,6 @@ class TestWorkspace:
             forward(self.p, np.ones((8, 16)), ForwardTrace.allocate(8, 16, 7))
 
     def test_step_through_workspace_allocates_no_buffers(self):
-        import tracemalloc
-
         rows, dim, hidden = 256, 64, 128
         p = init_params(dim, hidden, init_std=0.1, seed=3)
         trace = ForwardTrace.allocate(rows, dim, hidden)
@@ -496,8 +502,6 @@ class TestPersistence:
         assert path.read_bytes() == header + p.flat.astype("<f8").tobytes()
 
     def test_save_writes_from_the_vector_without_a_copy(self, tmp_path):
-        import tracemalloc
-
         p = init_params(64, 128, init_std=0.1, seed=5)
         path = tmp_path / "net.vpnp"
         tracemalloc.start()
@@ -525,6 +529,19 @@ class TestPersistence:
         save_params(p, path)
         with pytest.raises(FormatError, match=r"net\.vpnp: non-finite"):
             load_params(path)
+
+    def test_finiteness_check_builds_no_mask_of_the_parameters(self, tmp_path):
+        path = tmp_path / "net.vpnp"
+        save_params(init_params(256, 256, init_std=0.1), path)
+        count = parameter_count(256, 256)
+        tracemalloc.start()
+        try:
+            load_params(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the parameter vector; a bool mask of it would add a byte per value
+        assert peak < 8 * count + count // 4
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "net.vpnp"
