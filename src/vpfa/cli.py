@@ -25,7 +25,7 @@ from .retrieval import (
     evaluate,
     project_2d,
 )
-from .stats import analyze_set
+from .stats import analyze_set, check_analysis
 from .synthgen import SynthConfig, generate
 from .trainer import TrainConfig, train, training_pairs
 from .vpnet import NetConfig, check_init, load_params, parameter_count, save_params
@@ -279,6 +279,10 @@ def _cmd_gen(args: argparse.Namespace, outputs: list[str]) -> None:
 
 
 def _cmd_stats(args: argparse.Namespace, outputs: list[str]) -> None:
+    # Every flag is checked before the set is read.
+    if args.rates is not None:
+        check_lr_rates(args.rates)
+    check_analysis(args.cca_eps, args.pearson_ids, args.group_size, args.seed)
     eset = load_set(args.data, args.format)
     report = analyze_set(
         eset,

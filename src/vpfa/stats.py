@@ -9,10 +9,10 @@ Three analyses, each applied per LR rate:
 * grouped Pearson correlation of group-mean difference vectors against the
   global mean shift.
 
-All three read the set's arrays through ``EmbeddingSet.rows_by_identity``:
-the row indices of each identity's HR and LR-at-rate samples, in record
-order.  Means are ``matrix[rows].mean(axis=0)``; HR/LR pairs take the first
-min(#HR, #LR) rows of an identity on each side, in that order.
+All three walk aligned lists: the sorted identities with both HR and
+LR-at-rate samples and, for each, the row indices of its HR and of its LR
+samples in record order.  Means are ``matrix[rows].mean(axis=0)``; HR/LR
+pairs take the first min(#HR, #LR) rows of an identity on each side.
 """
 
 from __future__ import annotations
@@ -62,9 +62,7 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(da, db) / np.sqrt(va * vb))
 
 
-def cca_top_k(
-    X: np.ndarray, Y: np.ndarray, k: int = 3, eps: float = 1e-6
-) -> np.ndarray:
+def cca_top_k(X: np.ndarray, Y: np.ndarray, k: int = 3, eps: float = 1e-6) -> np.ndarray:
     """Top-k canonical correlations between row-aligned matrices X and Y.
 
     Columns are mean-centered; both auto-covariance blocks get a ridge
@@ -74,8 +72,7 @@ def cca_top_k(
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if not 0 <= eps < np.inf:  # also false for nan
-        raise ValueError(f"eps must be finite and non-negative, got {eps}")
+    check_analysis(cca_eps=eps)
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
@@ -95,17 +92,14 @@ def cca_top_k(
     m = _inv_sqrt(cxx) @ cxy @ _inv_sqrt(cyy)
     corrs = np.clip(np.linalg.svd(m, compute_uv=False), 0.0, 1.0)
     out = np.zeros(k)
-    take = min(k, corrs.size)
-    out[:take] = corrs[:take]
+    out[:min(k, corrs.size)] = corrs[:k]
     return out
 
 
 def _inv_sqrt(c: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(c)
     if w.min() <= 0.0:
-        raise DataError(
-            "covariance block is rank-deficient; use a positive regularization eps"
-        )
+        raise DataError("covariance block is rank-deficient; use a positive regularization eps")
     return (v / np.sqrt(w)) @ v.T
 
 
@@ -114,6 +108,18 @@ def _pca_reduce(m: np.ndarray, q: int) -> np.ndarray:
     centered = m - m.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     return centered @ vt[:q].T
+
+
+def check_analysis(cca_eps: float = 1e-6, num_identities: int = 50, group_size: int = 2,
+                   seed: int = 0) -> None:
+    """Refuse analysis settings that fit no set: a CCA ridge that is not finite and
+    non-negative, a Pearson identity count or group size below 1, a negative seed."""
+    if not 0 <= cca_eps < np.inf:  # also false for nan
+        raise ValueError(f"eps must be finite and non-negative, got {cca_eps}")
+    if num_identities < 1 or group_size < 1:
+        raise ValueError("num_identities and group_size must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -145,25 +151,32 @@ class StatsReport:
     pearson: dict[int, PearsonEntry]
 
 
-def _groups(eset: EmbeddingSet, rate: int) -> tuple[dict, dict, list[int]]:
-    """The row indices of each identity's HR and LR-at-``rate`` samples, in
-    record order, and the sorted identities that have both."""
-    hr = eset.rows_by_identity(eset.rate_array == 0)
-    lrs = eset.rows_by_identity(eset.rate_array == check_lr_rate(rate))
-    return hr, lrs, sorted(hr.keys() & lrs.keys())
+def _pairing(eset: EmbeddingSet, rate: int) -> tuple[list[int], list, list]:
+    """The sorted identities with both HR and LR-at-``rate`` samples, and the
+    row indices of each one's HR and LR samples, in record order."""
+    rates = eset.rate_array
+    groups = eset.rows_by_identity((rates == 0) | (rates == check_lr_rate(rate)))
+    ids, hr, lrs = [], [], []
+    for identity, rows in groups.items():
+        is_hr = rates[rows] == 0
+        if 0 < is_hr.sum() < rows.size:
+            ids.append(identity)
+            hr.append(rows[is_hr])
+            lrs.append(rows[~is_hr])
+    return ids, hr, lrs
 
 
-def _paired_rows(hr: dict, lrs: dict, ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """HR and LR rows paired by within-identity order: the first
-    min(#HR, #LR) rows of each identity on both sides."""
-    take = [min(hr[i].size, lrs[i].size) for i in ids]
-    return (np.concatenate([hr[i][:n] for i, n in zip(ids, take)]),
-            np.concatenate([lrs[i][:n] for i, n in zip(ids, take)]))
+def _pairs(eset: EmbeddingSet, hr: list, lrs: list) -> tuple[np.ndarray, np.ndarray]:
+    """The HR and LR vectors paired by within-identity order: the first
+    min(#HR, #LR) rows of each identity on both sides, identity by identity."""
+    take = [min(h.size, lr.size) for h, lr in zip(hr, lrs)]
+    return (eset.matrix[np.concatenate([h[:n] for h, n in zip(hr, take)])],
+            eset.matrix[np.concatenate([lr[:n] for lr, n in zip(lrs, take)])])
 
 
-def _means(eset: EmbeddingSet, groups: dict, ids: list[int]) -> np.ndarray:
-    """One row per identity: the mean of its rows in ``groups``."""
-    return np.stack([eset.matrix[groups[i]].mean(axis=0) for i in ids])
+def _means(eset: EmbeddingSet, groups: list) -> np.ndarray:
+    """One row per group of row indices: the mean of its rows."""
+    return np.stack([eset.matrix[rows].mean(axis=0) for rows in groups])
 
 
 def split_cosine(eset: EmbeddingSet, rate: int) -> SplitCosineEntry:
@@ -173,19 +186,17 @@ def split_cosine(eset: EmbeddingSet, rate: int) -> SplitCosineEntry:
     shift of a half is (mean of per-identity HR means) minus (mean of
     per-identity LR means).
     """
-    hr, lrs, ids = _groups(eset, rate)
+    ids, hr, lrs = _pairing(eset, rate)
     if len(ids) < 2:
         raise DataError(
             f"split cosine at {rate_tag(rate)} needs >= 2 identities with both resolutions, "
             f"got {len(ids)}"
         )
-    first, second = half_split_identities(ids)
-
-    def shift(half: list[int]) -> np.ndarray:
-        return _means(eset, hr, half).mean(axis=0) - _means(eset, lrs, half).mean(axis=0)
-
-    value = cosine(shift(first), shift(second))
-    return SplitCosineEntry(cosine=value, half_sizes=(len(first), len(second)))
+    cut = len(half_split_identities(ids)[0])
+    hr_means, lr_means = _means(eset, hr), _means(eset, lrs)
+    first, second = (hr_means[half].mean(axis=0) - lr_means[half].mean(axis=0)
+                     for half in (slice(cut), slice(cut, None)))
+    return SplitCosineEntry(cosine=cosine(first, second), half_sizes=(cut, len(ids) - cut))
 
 
 def cca_with_random_baseline(
@@ -201,37 +212,33 @@ def cca_with_random_baseline(
     ``rows`` selects the pairing: ``per_sample`` pairs the j-th HR record of
     each identity with its j-th LR-at-rate record; ``identity_mean`` uses one
     row of per-identity means per side.  When the column count exceeds
-    rows - 1, both sides are reduced to their top min(rows - 1, dim)
-    principal components first (recorded in ``components``).
+    rows - 1, both sides are reduced to their top rows - 1 principal
+    components first (recorded in ``components``).
     """
-    hr, lrs, ids = _groups(eset, rate)
+    check_analysis(cca_eps=eps, seed=seed)
+    ids, hr, lrs = _pairing(eset, rate)
     if not ids:
         raise DataError(f"no identities with both HR and {rate_tag(rate)} records")
     if rows == "identity_mean":
-        hr_mat, lr_mat = _means(eset, hr, ids), _means(eset, lrs, ids)
+        hr_mat, lr_mat = _means(eset, hr), _means(eset, lrs)
     elif rows == "per_sample":
-        hr_mat, lr_mat = (eset.matrix[r] for r in _paired_rows(hr, lrs, ids))
+        hr_mat, lr_mat = _pairs(eset, hr, lrs)
     else:
         raise ValueError(f"unknown row mode {rows!r}")
 
     n, dim = hr_mat.shape
     components = dim
     if dim > n - 1:
-        components = min(n - 1, dim)
-        hr_mat = _pca_reduce(hr_mat, components)
-        lr_mat = _pca_reduce(lr_mat, components)
+        components = n - 1
+        hr_mat, lr_mat = _pca_reduce(hr_mat, components), _pca_reduce(lr_mat, components)
 
     cross = cca_top_k(hr_mat, lr_mat, k, eps)
     rng = np.random.default_rng(seed)
     rand_a = rng.standard_normal(hr_mat.shape)
     rand_b = rng.standard_normal(lr_mat.shape)
     baseline = cca_top_k(rand_a, rand_b, k, eps)
-    return CcaEntry(
-        cross_res=tuple(cross),
-        random_baseline=tuple(baseline),
-        rows=n,
-        components=components,
-    )
+    return CcaEntry(cross_res=tuple(cross), random_baseline=tuple(baseline), rows=n,
+                    components=components)
 
 
 def grouped_pearson(
@@ -251,18 +258,17 @@ def grouped_pearson(
     ``proportion_above`` is the share of groups whose r exceeds
     ``PEARSON_THRESHOLD`` (0.4).
     """
-    if num_identities < 1 or group_size < 1:
-        raise ValueError("num_identities and group_size must be positive")
-    hr, lrs, ids = _groups(eset, rate)
+    check_analysis(num_identities=num_identities, group_size=group_size, seed=seed)
+    ids, hr, lrs = _pairing(eset, rate)
     if len(ids) < num_identities:
         raise DataError(
             f"grouped pearson at {rate_tag(rate)} needs {num_identities} identities with "
             f"paired samples, got {len(ids)}"
         )
-    hr_rows, lr_rows = _paired_rows(hr, lrs, ids)
-    diffs = eset.matrix[hr_rows] - eset.matrix[lr_rows]  # one row per pair, by identity
+    diffs = np.subtract(*_pairs(eset, hr, lrs))  # one row per pair, identity by identity
     global_shift = diffs.mean(axis=0)
-    pool = diffs[np.isin(eset.identity_array[hr_rows], ids[:num_identities])]
+    # the pairs of the first num_identities identities lead the rows
+    pool = diffs[:sum(min(h.size, lr.size) for h, lr in zip(hr[:num_identities], lrs))]
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(pool))
@@ -271,12 +277,9 @@ def grouped_pearson(
         raise DataError("not enough difference vectors to form a single group")
     members = order[: num_groups * group_size].reshape(num_groups, group_size)
     rs = np.array([pearson(pool[m].mean(axis=0), global_shift) for m in members])
-    return PearsonEntry(
-        mean_r=float(rs.mean()),
-        std_r=float(rs.std()),
-        proportion_above=float(np.mean(rs > PEARSON_THRESHOLD)),
-        group_count=num_groups,
-    )
+    return PearsonEntry(mean_r=float(rs.mean()), std_r=float(rs.std()),
+                        proportion_above=float(np.mean(rs > PEARSON_THRESHOLD)),
+                        group_count=num_groups)
 
 
 def lr_rates(eset: EmbeddingSet) -> list[int]:
@@ -297,15 +300,10 @@ def analyze_set(
     rates = lr_rates(eset) if rates is None else check_lr_rates(rates)
     if not rates:
         raise DataError("set contains no LR records")
-    split = {}
-    cca = {}
-    pear = {}
+    split, cca, pear = {}, {}, {}
     for rate in rates:
         split[rate] = split_cosine(eset, rate)
-        cca[rate] = cca_with_random_baseline(
-            eset, rate, eps=cca_eps, seed=seed, rows=cca_rows
-        )
-        pear[rate] = grouped_pearson(
-            eset, rate, num_identities=num_identities, group_size=group_size, seed=seed
-        )
+        cca[rate] = cca_with_random_baseline(eset, rate, eps=cca_eps, seed=seed, rows=cca_rows)
+        pear[rate] = grouped_pearson(eset, rate, num_identities=num_identities,
+                                     group_size=group_size, seed=seed)
     return StatsReport(split_cosine=split, cca=cca, pearson=pear)

@@ -45,6 +45,9 @@ class SynthConfig:
             raise ValueError("need at least two samples per resolution")
         if self.cameras < 1:
             raise ValueError("need at least one camera")
+        for name, seed in (("seed", self.seed), ("direction_seed", self.direction_seed)):
+            if seed is not None and seed < 0:
+                raise ValueError(f"{name} must be non-negative, got {seed}")
         scales = {"id_spread": self.id_spread, "sample_noise": self.sample_noise,
                   "shift_noise": self.shift_noise,
                   **{f"shift_magnitude[{r}]": v for r, v in self.shift_magnitude.items()}}

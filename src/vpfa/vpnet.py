@@ -5,10 +5,10 @@ The network adds a learned, tanh-bounded correction to its input:
     zhat = z + tanh(W4 a3 + b4)
     a_i  = ReLU(LayerNorm_i(W_i a_{i-1} + b_i)),  a_0 = z,  i = 1..3
 
-All math is float64 numpy.  Inputs may be a single vector of length ``dim``
-or a batch of shape ``(n, dim)``; gradients of batched calls are summed over
-the batch.  Parameters and their gradients are both :class:`VPParams`: one
-flat vector with named views in the layout of the parameter file.
+All math is float64 numpy.  Inputs are batches of shape ``(n, dim)``, one
+input vector per row; gradients are summed over the batch.  Parameters and
+their gradients are both :class:`VPParams`: one flat vector with named
+views in the layout of the parameter file.
 Initialization draws the four weight matrices, in order, from
 ``numpy.random.default_rng(seed)`` as N(0, init_std^2); biases start at
 zero and LayerNorm affines at gain 1 / offset 0, so an ``init_std`` of 0
@@ -189,7 +189,6 @@ class ForwardTrace:
     mask: np.ndarray | None  # (rows, hidden) bool, ReLU mask
     dz: np.ndarray | None    # (rows, dim) head gradient, then input gradient
     z: np.ndarray | None = None  # (rows, dim) traced input, set by forward
-    single: bool = False
 
     @classmethod
     def allocate(cls, rows: int, dim: int, hidden: int) -> "ForwardTrace":
@@ -219,13 +218,14 @@ class ForwardTrace:
         return ForwardTrace(**{name: getattr(self, name)[:rows] for name in _BUFFERS})
 
 
-_BUFFERS = tuple(f.name for f in fields(ForwardTrace) if f.name not in ("z", "single"))
+_BUFFERS = tuple(f.name for f in fields(ForwardTrace) if f.name != "z")
 
 
 def forward(
     params: VPParams, z: np.ndarray, trace: ForwardTrace | None = None
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Apply the panning network; returns the output and a backward trace.
+    """Apply the panning network to each row of ``z``; returns the output and a
+    backward trace.
 
     ``trace`` is a workspace from :meth:`ForwardTrace.allocate` (or its
     :meth:`~ForwardTrace.head`) or :meth:`ForwardTrace.forward_only` with
@@ -234,18 +234,14 @@ def forward(
     ``z``.  Every workspace gives the same output bits.
     """
     z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    z2 = np.atleast_2d(z)
-    if z2.shape[1] != params.dim:
-        raise ValueError(f"input dim {z2.shape[1]} != network dim {params.dim}")
+    if z.ndim != 2 or z.shape[1] != params.dim:
+        raise ValueError(f"input of shape {z.shape} is not a (rows, dim) batch, dim {params.dim}")
     if trace is None:
-        trace = ForwardTrace.allocate(z2.shape[0], params.dim, params.hidden)
-    elif trace.zhat.shape != z2.shape or trace.a1.shape[1] != params.hidden:
+        trace = ForwardTrace.allocate(z.shape[0], params.dim, params.hidden)
+    elif trace.zhat.shape != z.shape or trace.a1.shape[1] != params.hidden:
         raise ValueError(f"trace for {trace.zhat.shape} inputs, hidden {trace.a1.shape[1]}, "
-                         f"does not fit {z2.shape} inputs, hidden {params.hidden}")
-    trace.z, trace.single = z2, single
-
-    a_in = z2
+                         f"does not fit {z.shape} inputs, hidden {params.hidden}")
+    trace.z = a_in = z
     for i, xhat, inv, a in (("1", trace.xhat1, trace.inv1, trace.a1),
                             ("2", trace.xhat2, trace.inv2, trace.a2),
                             ("3", trace.xhat3, trace.inv3, trace.a3)):
@@ -257,8 +253,7 @@ def forward(
     residual = trace.residual
     np.tanh(np.add(np.matmul(a_in, params.w4.T, out=residual), params.b4, out=residual),
             out=residual)
-    zhat = np.add(z2, residual, out=trace.zhat)
-    return (zhat[0] if single else zhat), trace
+    return np.add(z, residual, out=trace.zhat), trace
 
 
 def backward(
@@ -285,8 +280,7 @@ def backward(
     """
     if trace.dz is None:
         raise ValueError("a forward-only workspace keeps no values for backward")
-    grad_output = np.asarray(grad_output, dtype=np.float64)
-    g = np.atleast_2d(grad_output)
+    g = np.asarray(grad_output, dtype=np.float64)
     if trace.z.shape[1] != params.dim or trace.a1.shape[1] != params.hidden:
         raise ValueError("trace does not match the network dimensions")
     if g.shape != trace.z.shape:
@@ -321,10 +315,7 @@ def backward(
         if on_group is not None:
             on_group(i)
 
-    grad_input = np.add(g, da, out=trace.dz)
-    if trace.single:
-        grad_input = grad_input[0]
-    return out, grad_input
+    return out, np.add(g, da, out=trace.dz)
 
 
 def save_params(params: VPParams, path: str | Path) -> None:

@@ -103,8 +103,8 @@ def test_criterion_02_gradient_correctness():
     start = time.perf_counter()
     params = init_params(4, 3, init_std=0.5, seed=11)
     rng = np.random.default_rng(12)
-    z = rng.standard_normal(4)
-    t = rng.standard_normal(4)
+    z = rng.standard_normal((1, 4))
+    t = rng.standard_normal((1, 4))
     zhat, trace = forward(params, z)
     grads, _ = backward(params, trace, 2.0 * (zhat - t))
 
@@ -279,6 +279,14 @@ def test_golden_artifact_hashes(pipeline):
     got = {key: hashlib.sha256(pipeline[key].read_bytes()).hexdigest()[:16]
            for key in GOLDEN_HASHES}
     assert got == GOLDEN_HASHES
+
+
+def test_desk_stats_report_hash(pipeline, monkeypatch):
+    # the report's source line holds --data as given: run from the set's directory
+    monkeypatch.chdir(pipeline["set"].parent)
+    run_cli("stats", "--data", "s.vpfa", "--out", "stats.txt")
+    with open("stats.txt", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest()[:16] == "445bbfb8dc8811a4"
 
 
 def test_criterion_12_parameter_count():

@@ -138,10 +138,14 @@ class TestErrorPaths:
         (["train", "--init-std", "inf", "--epochs", "0"],
          "init_std must be finite and non-negative, got inf"),
         (["train", "--init-seed", "-1"], "init seed must be non-negative, got -1"),
+        (["gen", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["gen", "--direction-seed", "-1"], "direction_seed must be non-negative, got -1"),
+        (["stats", "--seed", "-1"], "seed must be non-negative, got -1"),
     ], ids=["gen-300", "gen-1", "gen-alpha-0", "gen-repeated", "train-1", "train-300",
             "stats-0", "stats-256", "train-repeated", "stats-repeated", "gen-sigma-proto-inf",
             "gen-sigma-id-nan", "gen-sigma-res-inf", "gen-alpha-inf", "gen-alpha-nan",
-            "train-init-std-nan", "train-init-std-inf", "train-init-seed"])
+            "train-init-std-nan", "train-init-std-inf", "train-init-seed", "gen-seed",
+            "gen-direction-seed", "stats-seed"])
     def test_bad_flag_value_exits_1_without_output(self, synth_file, tmp_path, capsys, argv,
                                                    message):
         data = [] if argv[0] == "gen" else ["--data", str(synth_file)]
@@ -171,6 +175,28 @@ class TestErrorPaths:
         assert run("train", "--data", str(tmp_path / "s.vpfa"), *argv,
                    "--out", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--rates", "2,300"], "LR rate must be >= 2 and <= 255, got 300"),
+        (["--rates", "2,2"], "LR rates must be distinct, got [2, 2]"),
+        (["--cca-eps", "nan"], "eps must be finite and non-negative, got nan"),
+        (["--cca-eps=-1"], "eps must be finite and non-negative, got -1.0"),
+        (["--pearson-ids", "0"], "num_identities and group_size must be positive"),
+        (["--group-size", "0"], "num_identities and group_size must be positive"),
+        (["--seed", "-1"], "seed must be non-negative, got -1"),
+    ], ids=["rates", "repeated-rates", "cca-eps-nan", "cca-eps-negative", "pearson-ids",
+            "group-size", "seed"])
+    def test_stats_flags_are_checked_before_the_set_is_read(self, tmp_path, capsys,
+                                                            monkeypatch, argv, message):
+        def load_set(*args):
+            raise AssertionError("stats read the set before checking its flags")
+
+        monkeypatch.setattr("vpfa.cli.load_set", load_set)
+        capsys.readouterr()
+        assert run("stats", "--data", str(tmp_path / "s.vpfa"), *argv,
+                   "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_identity_in_csv_exits_1(self, tmp_path, capsys):
         data = tmp_path / "s.csv"

@@ -324,6 +324,12 @@ class TestGroupedPearson:
         assert a == b
 
 
+@pytest.mark.parametrize("analysis", [cca_with_random_baseline, grouped_pearson])
+def test_negative_seed_is_named(analysis):
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        analysis(planted_set(num_identities=4), 2, seed=-1)
+
+
 def walk_groups(eset, rate):
     """HR and LR-at-rate vectors per identity, walked one record at a time."""
     hr, lrs = {}, {}

@@ -73,6 +73,11 @@ class TestConfigValidation:
                                              rf"non-negative, got {value}$"):
             SynthConfig(rates=(2, 3), shift_magnitude={2: 1.0, 3: value})
 
+    @pytest.mark.parametrize("field", ["seed", "direction_seed"])
+    def test_seeds_must_be_non_negative(self, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be non-negative, got -1$"):
+            SynthConfig(**{field: -1})
+
 
 class TestGenerate:
     def test_noise_free_lr_equals_hr(self):

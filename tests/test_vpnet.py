@@ -46,7 +46,7 @@ def numeric_grad(params, z, target, name, index, h=1e-5):
 class TestInit:
     def test_zero_std_forward_is_exact_identity(self):
         params = init_params(6, 4, init_std=0.0, seed=0)
-        z = np.random.default_rng(1).standard_normal(6)
+        z = np.random.default_rng(1).standard_normal((1, 6))
         zhat, _ = forward(params, z)
         np.testing.assert_array_equal(zhat, z)
 
@@ -218,27 +218,25 @@ class TestForward:
         p.w2[:] = np.eye(2)
         p.w3[:] = np.eye(2)
         p.w4[:] = np.eye(2)
-        zhat, _ = forward(p, np.array([1.0, -1.0]))
+        zhat, _ = forward(p, np.array([[1.0, -1.0]]))
         np.testing.assert_allclose(
-            zhat, [1.7615857562570025, -1.0], rtol=0, atol=1e-12
+            zhat, [[1.7615857562570025, -1.0]], rtol=0, atol=1e-12
         )
 
     def test_correction_strictly_bounded_by_one(self):
         rng = np.random.default_rng(5)
         p = init_params(6, 8, init_std=2.0, seed=1)
-        for _ in range(20):
-            z = 10.0 * rng.standard_normal(6)
-            zhat, _ = forward(p, z)
-            assert np.max(np.abs(zhat - z)) < 1.0
+        z = 10.0 * rng.standard_normal((20, 6))
+        zhat, _ = forward(p, z)
+        assert np.max(np.abs(zhat - z)) < 1.0
 
     def test_near_identity_at_default_initialization(self):
         p = init_params(64, 64, init_std=1e-3, seed=0)
         rng = np.random.default_rng(6)
-        for _ in range(100):
-            z = rng.standard_normal(64)
-            z /= np.linalg.norm(z)
-            zhat, _ = forward(p, z)
-            assert np.linalg.norm(zhat - z) / np.linalg.norm(z) < 0.05
+        z = rng.standard_normal((100, 64))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        zhat, _ = forward(p, z)
+        assert np.max(np.linalg.norm(zhat - z, axis=1) / np.linalg.norm(z, axis=1)) < 0.05
 
     def test_batch_matches_single_calls(self):
         p = init_params(5, 4, init_std=0.3, seed=2)
@@ -246,21 +244,29 @@ class TestForward:
         batch = rng.standard_normal((6, 5))
         out_batch, _ = forward(p, batch)
         for i in range(6):
-            single, _ = forward(p, batch[i])
-            np.testing.assert_allclose(out_batch[i], single, atol=1e-14)
+            single, _ = forward(p, batch[i:i + 1])
+            np.testing.assert_allclose(out_batch[i:i + 1], single, atol=1e-14)
 
     def test_dimension_mismatch_rejected(self):
         p = init_params(4, 3)
         with pytest.raises(ValueError, match="dim"):
-            forward(p, np.ones(5))
+            forward(p, np.ones((1, 5)))
+
+    def test_vector_input_rejected(self):
+        p = init_params(4, 3)
+        with pytest.raises(ValueError, match=r"input of shape \(4,\) is not a \(rows, dim\)"):
+            forward(p, np.ones(4))
+        _, trace = forward(p, np.ones((1, 4)))
+        with pytest.raises(ValueError, match=r"grad_output shape \(4,\)"):
+            backward(p, trace, np.ones(4))
 
 
 class TestBackward:
     def test_zero_grad_output_gives_zero_grads(self):
         p = init_params(4, 3, init_std=0.4, seed=3)
-        z = np.random.default_rng(8).standard_normal(4)
+        z = np.random.default_rng(8).standard_normal((1, 4))
         _, trace = forward(p, z)
-        grads, grad_input = backward(p, trace, np.zeros(4))
+        grads, grad_input = backward(p, trace, np.zeros((1, 4)))
         assert not np.any(grads.flat)
         assert not np.any(grad_input)
 
@@ -269,10 +275,10 @@ class TestBackward:
         # squared error to a target t the chain rule gives d/db4 = 2 (z - t)
         p = init_params(5, 3, init_std=0.0)
         rng = np.random.default_rng(9)
-        z = rng.standard_normal(5)
-        t = rng.standard_normal(5)
+        z = rng.standard_normal((1, 5))
+        t = rng.standard_normal((1, 5))
         loss, grads, _ = loss_and_grad(p, z, t)
-        np.testing.assert_allclose(grads.b4, 2.0 * (z - t), atol=1e-12)
+        np.testing.assert_allclose(grads.b4, 2.0 * (z - t)[0], atol=1e-12)
         assert not np.any(grads.w4)  # hidden path is all zeros
 
     def test_every_parameter_matches_finite_differences(self):
@@ -281,8 +287,8 @@ class TestBackward:
         # resolution of central differences on an O(1) loss in float64
         p = init_params(4, 3, init_std=0.5, seed=11)
         rng = np.random.default_rng(12)
-        z = rng.standard_normal(4)
-        t = rng.standard_normal(4)
+        z = rng.standard_normal((1, 4))
+        t = rng.standard_normal((1, 4))
         _, grads, _ = loss_and_grad(p, z, t)
         for name in TENSOR_ORDER:
             analytic = getattr(grads, name)
@@ -296,19 +302,19 @@ class TestBackward:
     def test_grad_input_matches_finite_differences(self):
         p = init_params(4, 3, init_std=0.5, seed=13)
         rng = np.random.default_rng(14)
-        z = rng.standard_normal(4)
-        t = rng.standard_normal(4)
+        z = rng.standard_normal((1, 4))
+        t = rng.standard_normal((1, 4))
         _, _, grad_input = loss_and_grad(p, z, t)
         h = 1e-6
         for i in range(4):
             zp, zm = z.copy(), z.copy()
-            zp[i] += h
-            zm[i] -= h
+            zp[0, i] += h
+            zm[0, i] -= h
             up, _ = forward(p, zp)
             down, _ = forward(p, zm)
             numeric = (np.sum((up - t) ** 2) - np.sum((down - t) ** 2)) / (2 * h)
-            scale = max(abs(grad_input[i]), abs(numeric), 1e-8)
-            assert abs(grad_input[i] - numeric) / scale < 1e-5
+            scale = max(abs(grad_input[0, i]), abs(numeric), 1e-8)
+            assert abs(grad_input[0, i] - numeric) / scale < 1e-5
 
     def test_batch_gradient_is_sum_of_singles(self):
         p = init_params(4, 3, init_std=0.4, seed=15)
@@ -319,17 +325,17 @@ class TestBackward:
         batch_grads, _ = backward(p, trace, gout)
         summed = np.zeros_like(batch_grads.flat)
         for i in range(3):
-            _, tr = forward(p, batch[i])
-            summed += backward(p, tr, gout[i])[0].flat
+            _, tr = forward(p, batch[i:i + 1])
+            summed += backward(p, tr, gout[i:i + 1])[0].flat
         np.testing.assert_allclose(batch_grads.flat, summed, atol=1e-12)
 
     def test_stale_trace_rejected(self):
         p_small = init_params(4, 3)
         p_big = init_params(4, 5)
-        z = np.ones(4)
+        z = np.ones((1, 4))
         _, trace = forward(p_small, z)
         with pytest.raises(ValueError, match="trace"):
-            backward(p_big, trace, np.ones(4))
+            backward(p_big, trace, np.ones((1, 4)))
 
     def test_grad_output_shape_checked(self):
         p = init_params(4, 3)
@@ -407,13 +413,13 @@ class TestWorkspace:
         for rows, ws in ((32, trace), (8, short), (32, trace), (8, short)):
             self.step(ws, rows)
 
-    def test_single_vector_through_one_row_workspace(self):
+    def test_one_row_batch_through_one_row_workspace(self):
         trace = ForwardTrace.allocate(1, 16, 12)
-        z = self.rng.standard_normal(16)
+        z = self.rng.standard_normal((1, 16))
         zhat, _ = forward(self.p, z, trace)
-        assert zhat.shape == (16,)
-        grads, grad_input = backward(self.p, trace, np.ones(16))
-        ref_zhat, ref_grads, ref_input = fresh_step(self.p, z, np.ones(16))
+        assert zhat.shape == (1, 16)
+        grads, grad_input = backward(self.p, trace, np.ones((1, 16)))
+        ref_zhat, ref_grads, ref_input = fresh_step(self.p, z, np.ones((1, 16)))
         assert np.array_equal(zhat, ref_zhat) and np.array_equal(grad_input, ref_input)
         assert np.array_equal(grads.flat, ref_grads)
 
@@ -454,8 +460,8 @@ class TestForwardOnly:
             zhat, got = forward(p, z, ws)
             assert got is ws and np.shares_memory(zhat, ws.residual)
             assert zhat.tobytes() == forward(p, z)[0].tobytes()
-        single, _ = forward(p, z[0], ForwardTrace.forward_only(1, dim, hidden))
-        assert single.shape == (dim,) and single.tobytes() == forward(p, z[0])[0].tobytes()
+        one, _ = forward(p, z[:1], ForwardTrace.forward_only(1, dim, hidden))
+        assert one.shape == (1, dim) and one.tobytes() == forward(p, z[:1])[0].tobytes()
 
     def test_buffers_are_shared_and_backward_ones_absent(self):
         ws = ForwardTrace.forward_only(4, 6, 5)
