@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .embeddings import (  # noqa: F401
     EmbeddingSet,
-    half_split_identities,
     load_set,
     save_set,
 )

@@ -174,6 +174,16 @@ class EmbeddingSet:
         ids, starts = np.unique(self.identity_array[rows], return_index=True)
         return dict(zip(ids.tolist(), np.split(rows, starts[1:])))
 
+    def paired_rows(self, rates: Sequence[int] | None = None) -> tuple[list[int], list, list]:
+        """The HR/LR pairing of statistics and training: the sorted identities with
+        at least one HR and one LR sample at ``rates`` (distinct LR rates; every
+        LR rate when None), and each one's HR and LR row indices, in record order."""
+        lr_mask = (self.rate_array != 0 if rates is None
+                   else np.isin(self.rate_array, check_lr_rates(rates)))
+        hr, lr = self.rows_by_identity(self.rate_array == 0), self.rows_by_identity(lr_mask)
+        ids = sorted(hr.keys() & lr.keys())
+        return ids, [hr[i] for i in ids], [lr[i] for i in ids]
+
     def _mask(self, mask, what: str) -> np.ndarray:
         mask = np.asarray(mask)
         if mask.dtype != bool or mask.shape != (len(self),):
@@ -187,13 +197,6 @@ def _column(values, dtype) -> np.ndarray:
     array = array if array.base is None and array.flags.c_contiguous else array.copy()
     array.setflags(write=False)
     return array
-
-
-def half_split_identities(identities: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Deterministic half split: sorted IDs, first ceil(K/2) vs the rest."""
-    ids = sorted(set(identities))
-    cut = math.ceil(len(ids) / 2)
-    return ids[:cut], ids[cut:]
 
 
 def save_set(eset: EmbeddingSet, path: str | Path, format: str = "bin") -> None:
@@ -255,7 +258,10 @@ def _load_binary(path: Path) -> EmbeddingSet:
         raise FormatError(f"{path}: unsupported version {version}")
     if dim < 1:
         raise FormatError(f"{path}: non-positive dimension {dim}")
-    dtype = _record_dtype(dim)
+    try:  # numpy holds a record's dimension and byte size in a C int
+        dtype = _record_dtype(dim)
+    except ValueError as exc:
+        raise FormatError(f"{path}: dimension {dim} too large for a record: {exc}") from exc
     expected = _HEADER.size + count * dtype.itemsize
     if len(data) != expected:
         raise FormatError(

@@ -9,7 +9,8 @@ Three analyses, each applied per LR rate:
 * grouped Pearson correlation of group-mean difference vectors against the
   global mean shift.
 
-All three walk aligned lists: the sorted identities with both HR and
+All three walk the aligned lists of ``EmbeddingSet.paired_rows([rate])``,
+the pairing that training uses too: the sorted identities with both HR and
 LR-at-rate samples and, for each, the row indices of its HR and of its LR
 samples in record order.  Means are ``matrix[rows].mean(axis=0)``; HR/LR
 pairs take the first min(#HR, #LR) rows of an identity on each side.
@@ -17,17 +18,12 @@ pairs take the first min(#HR, #LR) rows of an identity on each side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import (
-    EmbeddingSet,
-    check_lr_rate,
-    check_lr_rates,
-    half_split_identities,
-    rate_tag,
-)
+from .embeddings import EmbeddingSet, check_lr_rates, rate_tag
 from .errors import DataError
 
 # grouped_pearson counts the groups whose correlation exceeds this.
@@ -151,21 +147,6 @@ class StatsReport:
     pearson: dict[int, PearsonEntry]
 
 
-def _pairing(eset: EmbeddingSet, rate: int) -> tuple[list[int], list, list]:
-    """The sorted identities with both HR and LR-at-``rate`` samples, and the
-    row indices of each one's HR and LR samples, in record order."""
-    rates = eset.rate_array
-    groups = eset.rows_by_identity((rates == 0) | (rates == check_lr_rate(rate)))
-    ids, hr, lrs = [], [], []
-    for identity, rows in groups.items():
-        is_hr = rates[rows] == 0
-        if 0 < is_hr.sum() < rows.size:
-            ids.append(identity)
-            hr.append(rows[is_hr])
-            lrs.append(rows[~is_hr])
-    return ids, hr, lrs
-
-
 def _pairs(eset: EmbeddingSet, hr: list, lrs: list) -> tuple[np.ndarray, np.ndarray]:
     """The HR and LR vectors paired by within-identity order: the first
     min(#HR, #LR) rows of each identity on both sides, identity by identity."""
@@ -186,13 +167,13 @@ def split_cosine(eset: EmbeddingSet, rate: int) -> SplitCosineEntry:
     shift of a half is (mean of per-identity HR means) minus (mean of
     per-identity LR means).
     """
-    ids, hr, lrs = _pairing(eset, rate)
+    ids, hr, lrs = eset.paired_rows([rate])
     if len(ids) < 2:
         raise DataError(
             f"split cosine at {rate_tag(rate)} needs >= 2 identities with both resolutions, "
             f"got {len(ids)}"
         )
-    cut = len(half_split_identities(ids)[0])
+    cut = math.ceil(len(ids) / 2)
     hr_means, lr_means = _means(eset, hr), _means(eset, lrs)
     first, second = (hr_means[half].mean(axis=0) - lr_means[half].mean(axis=0)
                      for half in (slice(cut), slice(cut, None)))
@@ -216,7 +197,7 @@ def cca_with_random_baseline(
     components first (recorded in ``components``).
     """
     check_analysis(cca_eps=eps, seed=seed)
-    ids, hr, lrs = _pairing(eset, rate)
+    ids, hr, lrs = eset.paired_rows([rate])
     if not ids:
         raise DataError(f"no identities with both HR and {rate_tag(rate)} records")
     if rows == "identity_mean":
@@ -259,7 +240,7 @@ def grouped_pearson(
     ``PEARSON_THRESHOLD`` (0.4).
     """
     check_analysis(num_identities=num_identities, group_size=group_size, seed=seed)
-    ids, hr, lrs = _pairing(eset, rate)
+    ids, hr, lrs = eset.paired_rows([rate])
     if len(ids) < num_identities:
         raise DataError(
             f"grouped pearson at {rate_tag(rate)} needs {num_identities} identities with "

@@ -88,9 +88,10 @@ def generate(cfg: SynthConfig) -> EmbeddingSet:
             noise = rng.standard_normal((n, 2, dim))  # per sample: base noise, shift noise
             base = prototype + cfg.sample_noise * noise[:, 0]
             blocks[k] = base - shift + cfg.shift_noise * noise[:, 1]
+    # min(): the same camera IDs for any count, also one that int64 cannot hold
     return EmbeddingSet(
         matrix,
         np.repeat(np.arange(cfg.num_identities), len(rates) * n),
-        np.tile(np.arange(n) % cfg.cameras, cfg.num_identities * len(rates)),
+        np.tile(np.arange(n) % min(cfg.cameras, n), cfg.num_identities * len(rates)),
         np.tile(np.repeat(rates, n), cfg.num_identities),
     )

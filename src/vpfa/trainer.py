@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import vpnet
-from .embeddings import EmbeddingSet, check_lr_rates
+from .embeddings import EmbeddingSet
 from .errors import DataError
 from .stats import cosine
 from .vpnet import (
@@ -65,20 +65,19 @@ class TrainLog:
 def build_prototype_pairs(
     eset: EmbeddingSet, rates: list[int] | None = None
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """The identities with >= 2 HR and >= 2 LR samples, in sorted order (int64),
-    with each one's LR and HR row indices into ``eset.matrix``, in record order.
+    """The identities of ``eset.paired_rows(rates)`` with >= 2 HR and >= 2 LR
+    samples, in sorted order (int64), with each one's LR and HR row indices
+    into ``eset.matrix``, in record order.
 
     LR samples are pooled across ``rates``, which must be distinct LR rates
     (all LR rates when None).
     """
-    lr_mask = (eset.rate_array != 0 if rates is None
-               else np.isin(eset.rate_array, check_lr_rates(rates)))
-    hr = eset.rows_by_identity(eset.rate_array == 0)
-    lr = eset.rows_by_identity(lr_mask)
-    paired = [i for i in sorted(hr.keys() & lr.keys()) if len(hr[i]) >= 2 and len(lr[i]) >= 2]
+    paired = [(i, lr, hr) for i, hr, lr in zip(*eset.paired_rows(rates))
+              if hr.size >= 2 and lr.size >= 2]
     if not paired:
         raise DataError("no identity has two samples at both resolutions")
-    return np.array(paired, dtype=np.int64), [lr[i] for i in paired], [hr[i] for i in paired]
+    ids, lr_rows, hr_rows = zip(*paired)
+    return np.array(ids, dtype=np.int64), list(lr_rows), list(hr_rows)
 
 
 def sample_training_pairs(

@@ -66,6 +66,13 @@ class TestGen:
         assert out.read_text().startswith("dim=64\n")
         assert len(load_set(out, "csv")) == 12
 
+    @pytest.mark.parametrize("cameras", [2**63, 2**64])
+    def test_cameras_beyond_the_samples_write_the_same_set(self, tmp_path, cameras):
+        gen = ("gen", "--dim", "3", "--ids", "4", "--per-res", "5", "--seed", "2")
+        assert run(*gen, "--cameras", "5", "--out", str(tmp_path / "five.vpfa")) == 0
+        assert run(*gen, "--cameras", str(cameras), "--out", str(tmp_path / "huge.vpfa")) == 0
+        assert (tmp_path / "huge.vpfa").read_bytes() == (tmp_path / "five.vpfa").read_bytes()
+
     def test_rates_default_to_alpha_keys(self, tmp_path):
         out = tmp_path / "s.vpfa"
         run("gen", "--ids", "3", "--per-res", "2",
@@ -206,6 +213,19 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{data}: line 2:" in err
         assert list(tmp_path.iterdir()) == [data]
+
+    @pytest.mark.parametrize("dim", [2**28, 2**31, 2**32 - 1])
+    def test_huge_binary_header_dim_is_named_with_its_file(self, tmp_path, capsys, dim):
+        data = tmp_path / "s.vpfa"
+        data.write_bytes(struct.pack("<4sIIQ", b"VPFA", 1, dim, 0))
+        for argv in (["eval"], ["stats"], ["train"], ["centroids"], ["project"],
+                     ["apply", "--params", str(tmp_path / "p.vpnp")]):
+            capsys.readouterr()
+            assert run(*argv, "--data", str(data), "--out", str(tmp_path / "out")) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {data}: dimension {dim} too large for a record: ")
+            assert err.count("\n") == 1, argv
+            assert list(tmp_path.iterdir()) == [data]
 
     def test_huge_csv_header_dim_exits_1_at_the_first_row(self, tmp_path, capsys):
         data = tmp_path / "s.csv"

@@ -11,7 +11,6 @@ from vpfa.embeddings import (
     EmbeddingSet,
     check_lr_rate,
     check_lr_rates,
-    half_split_identities,
     load_set,
     rate_tag,
     save_set,
@@ -526,6 +525,53 @@ class TestRowsByIdentity:
             self.set.rows_by_identity(mask)
 
 
+class TestPairedRows:
+    def setup_method(self):
+        rng = np.random.default_rng(12)
+        n = 80
+        rates = rng.choice([0, 2, 3, 4], size=n, p=[0.4, 0.3, 0.2, 0.1])
+        ids = rng.integers(0, 12, size=n) * 5
+        ids[rates == 0] %= 40  # 40, 45, 50 and 55 have LR samples only
+        self.set = EmbeddingSet(  # shuffled ids, uneven counts per resolution
+            rng.standard_normal((n, 3)), ids, rng.integers(0, 3, size=n), rates)
+
+    @pytest.mark.parametrize("rates, lr_rates", [
+        (None, {2, 3, 4}), ([3], {3}), ([4, 2], {2, 4}), ([2, 3, 4], {2, 3, 4}),
+    ])
+    def test_equals_the_record_walk(self, rates, lr_rates):
+        s = self.set
+        hr = walk_rows_by_identity(s, lambda r: r.resolution.is_hr)
+        lr = walk_rows_by_identity(s, lambda r: r.resolution.rate in lr_rates)
+        want = sorted(hr.keys() & lr.keys())
+        ids, hr_rows, lr_rows = s.paired_rows(rates)
+        assert ids == want and len(hr_rows) == len(lr_rows) == len(ids)
+        assert [rows.tolist() for rows in hr_rows] == [hr[i] for i in ids]  # record order
+        assert [rows.tolist() for rows in lr_rows] == [lr[i] for i in ids]
+
+    def test_an_identity_missing_a_side_is_dropped(self):
+        s = self.set
+        ids = s.paired_rows()[0]
+        assert ids == sorted(ids) and len(ids) < len(s.identities())
+        for identity in s.identities():
+            rates = s.rate_array[s.identity_array == identity]
+            assert (identity in ids) == ((rates == 0).any() and (rates != 0).any())
+        assert not set(ids) & {40, 45, 50, 55}
+        assert len(s.paired_rows([4])[0]) < len(ids)
+
+    def test_no_pair_gives_empty_lists(self):
+        assert self.set.partition(self.set.rate_array == 0).paired_rows() == ([], [], [])
+        assert EmbeddingSet(np.empty((0, 3)), [], [], []).paired_rows([2]) == ([], [], [])
+
+    @pytest.mark.parametrize("rates, message", [
+        ([0], "LR rate must be >= 2 and <= 255, got 0"),
+        ([2, 256], "LR rate must be >= 2 and <= 255, got 256"),
+        ([3, 3], "LR rates must be distinct, got [3, 3]"),
+    ])
+    def test_bad_rates_rejected(self, rates, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.set.paired_rows(rates)
+
+
 def columns(num=12, dim=5, seed=6):
     """Raw columns of a small set: vectors, identities, cameras, rates."""
     rng = np.random.default_rng(seed)
@@ -630,14 +676,3 @@ class TestColumnarStorage:
             EmbeddingSet(matrix, ids[:5], cams, rates)
         with pytest.raises(ValueError, match="dim"):
             EmbeddingSet(matrix[:, :0], ids, cams, rates)
-
-
-class TestHalfSplit:
-    def test_ceil_rule(self):
-        assert half_split_identities([3, 1, 5, 2, 4]) == ([1, 2, 3], [4, 5])
-        assert half_split_identities([7, 7, 2]) == ([2], [7])
-
-    def test_deterministic_half_split_of_set(self):
-        s = make_set(num=10)
-        first, second = half_split_identities(s.identities())
-        assert first + second == s.identities()

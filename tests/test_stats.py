@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from vpfa.embeddings import EmbeddingSet, half_split_identities
+from vpfa.embeddings import EmbeddingSet
 from vpfa.errors import DataError
 from vpfa.stats import (
     CcaEntry,
@@ -193,6 +195,9 @@ class TestSplitCosine:
         entry = split_cosine(s, 2)
         assert entry.cosine == pytest.approx(1.0, abs=1e-9)
         assert entry.half_sizes == (5, 5)
+        odd = split_cosine(planted_set(sample_noise=0.0, shift_noise=0.0, num_identities=5), 2)
+        assert odd.half_sizes == (3, 2)
+        assert odd.cosine == pytest.approx(1.0, abs=1e-9)
 
     def test_planted_set_agrees_with_brute_force(self):
         s = planted_set()
@@ -353,7 +358,8 @@ def walk_pairs(hr, lrs, ids):
 
 def walk_split_cosine(eset, rate):
     hr, lrs, ids = walk_groups(eset, rate)
-    halves = half_split_identities(ids)
+    cut = math.ceil(len(ids) / 2)  # sorted IDs: the first ceil(K/2) against the rest
+    halves = ids[:cut], ids[cut:]
     shifts = [np.subtract(*(m.mean(axis=0) for m in walk_means(hr, lrs, h))) for h in halves]
     return SplitCosineEntry(cosine(*shifts), tuple(len(h) for h in halves))
 
@@ -425,6 +431,21 @@ class TestEqualsTheRecordWalk:
     def test_lr_rates(self):
         assert lr_rates(self.set) == [2, 3]
         assert lr_rates(self.set.partition(self.set.rate_array == 0)) == []
+
+
+class TestPairingEqualsTheRecordWalk:
+    """The pairing each analysis walks is the record walk's, row for row."""
+
+    setup_method = TestEqualsTheRecordWalk.setup_method
+
+    @pytest.mark.parametrize("rate", [2, 3])
+    def test_paired_rows(self, rate):
+        hr, lrs, want = walk_groups(self.set, rate)
+        ids, hr_rows, lr_rows = self.set.paired_rows([rate])
+        assert ids == want
+        for identity, h, lr in zip(ids, hr_rows, lr_rows):
+            assert self.set.matrix[h].tobytes() == np.stack(hr[identity]).tobytes()
+            assert self.set.matrix[lr].tobytes() == np.stack(lrs[identity]).tobytes()
 
 
 class TestAnalyzeSet:

@@ -128,6 +128,14 @@ class TestGenerate:
         got = [(r.identity, r.camera, r.resolution.rate) for r in s.records]
         assert got == expected
 
+    @pytest.mark.parametrize("cameras", [4, 2**63 - 1, 2**63, 2**64])
+    def test_cameras_beyond_the_samples_cycle_no_further(self, cameras):
+        cfg = SynthConfig(dim=2, num_identities=2, samples_per_res=4, rates=(2, 3),
+                          shift_magnitude={2: 1.0, 3: 2.0}, cameras=cameras, seed=1)
+        got, want = generate(cfg), reference_generate(cfg)
+        assert got.camera_array.tolist() == want.camera_array.tolist() == [0, 1, 2, 3] * 6
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+
     def test_exact_shift_when_noise_free(self):
         cfg = SynthConfig(
             dim=32, num_identities=4, samples_per_res=2, id_spread=1.0,

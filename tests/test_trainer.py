@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from vpfa import trainer, vpnet
+from vpfa import embeddings, trainer, vpnet
 from vpfa.embeddings import EmbeddingSet, check_lr_rates
 from vpfa.errors import DataError
 from vpfa.synthgen import SynthConfig, generate
@@ -136,6 +136,15 @@ class TestGroupingMatchesRecordWalk:
         rows = np.setdiff1d(rows, lrx3[1:], assume_unique=True)
         self.set = EmbeddingSet(s.matrix[rows], s.identity_array[rows], s.camera_array[rows],
                                 s.rate_array[rows])
+
+    @pytest.mark.parametrize("rates", [None, [3], [3, 2]])
+    def test_paired_rows(self, rates):
+        hr, lr = record_groups(self.set, rates)
+        ids, hr_rows, lr_rows = self.set.paired_rows(rates)
+        assert ids == sorted(hr.keys() & lr.keys())
+        for identity, hr_idx, lr_idx in zip(ids, hr_rows, lr_rows):
+            assert self.set.matrix[hr_idx].tobytes() == np.stack(hr[identity]).tobytes()
+            assert self.set.matrix[lr_idx].tobytes() == np.stack(lr[identity]).tobytes()
 
     @pytest.mark.parametrize("rates", [None, [3]])
     def test_prototype_means(self, rates):
@@ -603,7 +612,8 @@ class TestTrainingPairs:
 
         monkeypatch.setattr(EmbeddingSet, "rows_by_identity",
                             counted("rows_by_identity", EmbeddingSet.rows_by_identity))
-        monkeypatch.setattr(trainer, "check_lr_rates", counted("check_lr_rates", check_lr_rates))
+        monkeypatch.setattr(embeddings, "check_lr_rates",
+                            counted("check_lr_rates", check_lr_rates))
         s = generate(SynthConfig(dim=4, num_identities=3, samples_per_res=2, seed=0))
         training_pairs(s, TrainConfig(num_pairs=4), rates=[2])
         assert calls == {"rows_by_identity": 2, "check_lr_rates": 1}
