@@ -31,6 +31,8 @@ from .trainer import TrainConfig, train, training_pairs
 from .vpnet import NetConfig, check_init, load_params, parameter_count, save_params
 
 STATS_TABLES = ("split_cosine", "cca", "pearson")  # the --csv-prefix tables, in write order
+# numpy holds an array's size in bytes in a C ssize_t, so gen's matrix has at most this many values
+GEN_MAX_VALUES = sys.maxsize // 8
 
 try:  # glibc's; other C libraries leave freed memory to their allocator
     _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
@@ -273,6 +275,12 @@ def _cmd_gen(args: argparse.Namespace, outputs: list[str]) -> None:
         seed=args.seed,
         direction_seed=args.direction_seed,
     )
+    values = args.ids * args.per_res * (1 + len(rates)) * args.dim
+    if values > GEN_MAX_VALUES:
+        raise ValueError(
+            f"--ids {args.ids} x --per-res {args.per_res} x {1 + len(rates)} resolutions x "
+            f"--dim {args.dim} is {values} values, over the limit of {GEN_MAX_VALUES} "
+            "float64 values in one array")
     eset = generate(cfg)
     save_set(eset, args.out, args.format)
     print(f"wrote {len(eset)} records (dim {eset.dim}) to {args.out}")

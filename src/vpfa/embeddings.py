@@ -13,7 +13,12 @@ structured array and written in blocks through one structured buffer.
 
 A CSV set's rows are parsed and formatted in contiguous chunks, one per
 usable CPU, in forked worker processes (see ``_in_chunks``); files and
-errors are the same as with one chunk.
+errors are the same as with one chunk.  A chunk's values are parsed by one
+``np.loadtxt`` call; the per-line parser (``float()`` on each value) reads
+a chunk again where numpy refuses it or could differ: it gives every error,
+reads the forms only ``float()`` takes (``1_0``), and gets any chunk with an
+empty value tail or a ``\x1f``, which numpy skips or strips and ``float()``
+refuses.
 """
 
 from __future__ import annotations
@@ -389,7 +394,47 @@ def _id_field(text: str) -> int:
 
 
 def _parse_rows(path: Path, lines: list[str], dim: int, start: int, stop: int):
-    """The rows of ``lines[start:stop]``: an (N, dim) matrix and N (identity, camera, rate)."""
+    """The rows of ``lines[start:stop]``: an (N, dim) matrix and N (identity, camera, rate).
+
+    ``_loadtxt_rows`` reads them; a chunk that it refuses or leaves to the per-line parser
+    is read again by ``_parse_lines``, which words every error.
+    """
+    try:
+        rows = _loadtxt_rows(lines[start:stop], dim)
+    except Exception:  # whatever numpy or a label check refuses: the per-line parser decides
+        rows = None
+    return _parse_lines(path, lines, dim, start, stop) if rows is None else rows
+
+
+def _loadtxt_rows(lines: list[str], dim: int):
+    """The rows of ``lines`` as ``_parse_lines`` reads them, through numpy's text reader.
+
+    Each non-blank line is split once, at its third comma, and its labels are checked; the
+    value tails are parsed by one ``np.loadtxt`` call (a C tokenizer, and the correctly
+    rounded conversion that ``float()`` uses too), so the matrix has the same bits.  None
+    where the values come out in another shape or not finite, and where numpy and
+    ``float()`` differ: numpy skips an empty tail and strips ``\x1f`` around a value.
+    Text that either refuses (``1_0`` is only ``float()``'s) raises.
+    """
+    labels, tails = [], []
+    for line in lines:
+        if line.strip():
+            identity, camera, tag, values = line.split(",", 3)
+            labels.append((_id_field(identity), _id_field(camera), _tag_rate(tag)))
+            tails.append(values)
+    labels = np.array(labels, dtype=np.int64).reshape(-1, 3)  # OverflowError from 2**63 up
+    if not tails or labels[:, :2].min() < 0 or "" in tails or any("\x1f" in t for t in tails):
+        return None
+    matrix = np.loadtxt(tails, delimiter=",", dtype=np.float64, comments=None, quotechar=None,
+                        ndmin=2, max_rows=len(tails))  # allocated once, at the row count
+    if matrix.shape != (len(tails), dim) or not (
+            math.isfinite(matrix.min()) and math.isfinite(matrix.max())):
+        return None
+    return matrix, labels
+
+
+def _parse_lines(path: Path, lines: list[str], dim: int, start: int, stop: int):
+    """``_parse_rows`` one line and one ``float()`` at a time, with the first bad line's error."""
     matrix, labels = None, []
     for lineno, line in enumerate(lines[start:stop], start=start + 1):
         if not line.strip():

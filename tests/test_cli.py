@@ -111,6 +111,19 @@ class TestErrorPaths:
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, values", [
+        (["--ids", "99999999999999999999"], "--ids 99999999999999999999 x --per-res 10 x "
+         "2 resolutions x --dim 64 is 127999999999999999998720 values"),
+        (["--ids", "1", "--per-res", "2", "--rates", "2,3,4", "--dim", str(2**57)],
+         f"--ids 1 x --per-res 2 x 4 resolutions x --dim {2**57} is {2**60} values"),
+    ], ids=["ids", "dim"])
+    def test_set_numpy_cannot_index_names_the_flags(self, tmp_path, capsys, argv, values):
+        assert run("gen", *argv, "--out", str(tmp_path / "s.vpfa")) == 1
+        limit = 2**60 - 1  # float64 values in 2**63 - 1 bytes
+        assert capsys.readouterr().err == (
+            f"error: {values}, over the limit of {limit} float64 values in one array\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_dim_params_exits_1_without_output(self, synth_file, tmp_path, capsys):
         params = tmp_path / "zero.vpnp"
         params.write_bytes(struct.pack("<4sIII", b"VPNP", 1, 0, 0))

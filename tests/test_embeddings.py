@@ -348,6 +348,106 @@ class TestParallelCsv:
         assert_no_child_left()
 
 
+# Two-value data lines (file lines 2-7), canonical as the writer emits them; one chunk holds
+# them all, 2 chunks split them into lines 2-4 and 5-7, 3 chunks into 2-3, 4-5 and 6-7.
+DATA = ["0,0,HR,0.25,-1.5", "0,1,LRx2,3,4", "1,0,HR,5,6", "1,1,LRx2,7,8", "2,0,HR,9,10",
+        "2,1,LRx3,11,12"]
+
+
+def with_values(tails):
+    """DATA with the value tails of some rows replaced: ``tails`` maps a 0-based row
+    (row 3 is file line 5) to its new tail."""
+    return [line.rsplit(",", 2)[0] + "," + tails[k] if k in tails else line
+            for k, line in enumerate(DATA)]
+
+
+def every(tail):
+    return dict.fromkeys(range(len(DATA)), tail)
+
+
+def cannot_convert(lineno, text):
+    return f"line {lineno}: could not convert string to float: {text!r}"
+
+
+# (dim, data lines, how the per-line parser reads them): "numpy" when numpy's reader alone
+# loads them too, "float" when only the per-line parser's float() does, else its error.
+READER_CASES = {
+    "canonical": (2, DATA, "numpy"),
+    "underscore": (2, with_values({3: "1_0,2"}), "float"),
+    "space-padded": (2, with_values(every(" 1.5 ,  2")), "numpy"),
+    "tab-padded": (2, with_values({0: "\t1.5,2\t", 4: "\t-1,\t 3 "}), "numpy"),
+    "signs-and-dots": (2, with_values({1: "+1.5E3,.5", 3: "5.,-0"}), "numpy"),
+    "underflow": (2, with_values(every("1e-400,4.9e-324")), "numpy"),
+    "overflow": (2, with_values({3: "1e400,2"}), "line 5: non-finite value"),
+    "nan": (2, with_values({3: "nan,2"}), "line 5: non-finite value"),
+    "infinity": (2, with_values({3: "1,Infinity"}), "line 5: non-finite value"),
+    "hex": (2, with_values({3: "0x10,2"}), cannot_convert(5, "0x10")),
+    "empty-field": (2, with_values({3: "1,"}), cannot_convert(5, "")),
+    "no-values": (2, DATA[:3] + ["1,1,LRx2"] + DATA[4:], "line 5: expected 5 fields, got 3"),
+    "no-values-after-a-comma": (1, ["0,0,HR,1", "0,1,LRx2,", "1,0,HR,3"],
+                                cannot_convert(3, "")),
+    "every-line-one-field-short": (3, DATA, "line 2: expected 6 fields, got 5"),
+    "comment": (2, with_values({3: "1#c,2"}), cannot_convert(5, "1#c")),
+    "quoted": (2, with_values({3: '"1",2'}), cannot_convert(5, '"1"')),
+    "space-inside": (2, with_values({3: "1 5,2"}), cannot_convert(5, "1 5")),
+    "unit-separator": (2, with_values({3: "\x1f1.5,2"}), cannot_convert(5, "\x1f1.5")),
+    "unit-separator-after": (2, with_values(every("1,1.5\x1f")), cannot_convert(2, "1.5\x1f")),
+    "dim-1": (1, ["0,0,HR,1.5", "0,1,LRx2,-2", "1,0,HR,0.1", "1,1,LRx4,3e-5"], "numpy"),
+}
+
+
+def columns_or_error(path):
+    """A loaded set's four arrays (dtype, shape, bytes), or the text of its FormatError."""
+    try:
+        s = load_set(path, "csv")
+    except FormatError as exc:
+        return str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes())
+            for a in (s.matrix, s.identity_array, s.camera_array, s.rate_array)]
+
+
+def refuse(*args):
+    raise AssertionError("the per-line parser was called")
+
+
+class TestNumpyReader:
+    """numpy's reader gives each chunk the per-line parser's matrix bits and labels, or
+    leaves the chunk to it, so every error keeps its text."""
+
+    @pytest.mark.parametrize("chunks", [1, 2, 3])
+    @pytest.mark.parametrize("case", READER_CASES)
+    def test_equals_the_per_line_parser(self, tmp_path, monkeypatch, recwarn, case, chunks):
+        dim, lines, reads = READER_CASES[case]
+        path = tmp_path / "s.csv"
+        path.write_text(f"dim={dim}\n" + "\n".join(lines) + "\n")
+        with monkeypatch.context() as only_per_line:
+            only_per_line.setattr(embeddings, "_loadtxt_rows", lambda lines, dim: None)
+            want = columns_or_error(path)
+        if reads in ("numpy", "float"):
+            assert not isinstance(want, str), want
+        else:
+            assert want == f"{path}: {reads}"
+        if chunks > 1:
+            force_chunks(monkeypatch, chunks)
+        assert columns_or_error(path) == want
+        if reads == "numpy":  # and without the per-line parser
+            monkeypatch.setattr(embeddings, "_parse_lines", refuse)
+            assert columns_or_error(path) == want
+        assert not recwarn.list  # numpy warns of an empty line it is given
+
+    def test_a_written_set_loads_without_the_per_line_parser(self, tmp_path, monkeypatch):
+        s = make_set(num=40, dim=7, seed=2)
+        extremes = [-0.0, 5e-324, np.finfo(float).max, -np.finfo(float).tiny, 0.1, 1 / 3, -1e300]
+        s = EmbeddingSet(np.vstack([s.matrix, extremes]), [*s.identity_array, 2**63 - 1],
+                         [*s.camera_array, 0], [*s.rate_array, 255])
+        path = tmp_path / "s.csv"
+        save_set(s, path, "csv")
+        monkeypatch.setattr(embeddings, "_parse_lines", refuse)
+        assert_columns_equal(load_set(path, "csv"), s)
+        force_chunks(monkeypatch, 3)
+        assert_columns_equal(load_set(path, "csv"), s)
+
+
 class TestBinaryFormat:
     def test_round_trip_bitwise(self, tmp_path):
         s = make_set(num=100, dim=8, seed=1)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from vpfa.stats import (
     CcaEntry,
     PearsonEntry,
     SplitCosineEntry,
+    StatsReport,
     _pca_reduce,
     analyze_set,
     cca_top_k,
@@ -460,6 +462,24 @@ class TestAnalyzeSet:
         assert sorted(report.split_cosine) == [2, 3]
         assert sorted(report.cca) == [2, 3]
         assert sorted(report.pearson) == [2, 3]
+
+    def test_pairs_each_rate_once(self, monkeypatch):
+        calls = Counter()
+        real = EmbeddingSet.rows_by_identity
+
+        def counted(eset, mask=None):
+            calls["rows_by_identity"] += 1
+            return real(eset, mask)
+
+        s = generate(SynthConfig(dim=6, num_identities=8, samples_per_res=3, rates=(2, 3, 4),
+                                 shift_magnitude={2: 1.0, 3: 1.5, 4: 2.0}, seed=2))
+        want = StatsReport(*({rate: analysis(s, rate, **kwargs) for rate in (2, 3, 4)}
+                             for analysis, kwargs in ((split_cosine, {}),
+                                                      (cca_with_random_baseline, {}),
+                                                      (grouped_pearson, {"num_identities": 5}))))
+        monkeypatch.setattr(EmbeddingSet, "rows_by_identity", counted)
+        assert analyze_set(s, num_identities=5) == want
+        assert calls == {"rows_by_identity": 2 * 3}  # one HR and one LR grouping per rate
 
     def test_set_without_lr_rejected(self):
         s = planted_set(num_identities=4)
