@@ -11,8 +11,12 @@ once by identity, not from a Q x G mask.  Only its candidates, the items
 scoring at or above its lowest relevant score, can rank ahead of a relevant
 item; a binary search over the m relevant items places each candidate.  Per
 query that is one O(G) comparison, an O(m log m) sort and O(c log m) for c
-candidates.  Memory: one Q x G float64 score matrix and a few arrays of
-EVAL_BLOCK (or G) elements.
+candidates.  Queries with equal m share blocks of EVAL_BLOCK // G rows (at
+least one); their relevant scores and indices, padded with sentinels to a
+power of two above m, fill two buffers allocated once per m.  A block of
+consecutive query rows is ranked in place in the score matrix; a scattered
+one in a copy of its rows.  Memory: one Q x G float64 score matrix and a few
+arrays of EVAL_BLOCK (or G) elements.
 """
 
 from __future__ import annotations
@@ -143,36 +147,45 @@ def evaluate(
         keys, q_keys = np.sort(g_id * num_cams + g_cam), q_id * num_cams + q_cam
         counts = same - (np.searchsorted(keys, q_keys, "right") - np.searchsorted(keys, q_keys))
 
-    # Equal-m queries share blocks: each AP sums one row as a 1-d mean does.
+    # Equal-m queries share blocks: each AP is its row's sum / m, as a 1-d mean.
     first, ap = np.empty(num_q, dtype=np.intp), np.empty(num_q)  # 1-based first hit
     step = max(1, EVAL_BLOCK // num_g)
     for m in np.unique(counts[counts > 0]).tolist():
         chosen, width = np.flatnonzero(counts == m), 1 << m.bit_length()
-        for qs in np.split(chosen, range(step, chosen.size, step)):
-            block = scores[qs]  # a copy: junk is written into it, not into scores
+        # Relevant items in rank order (higher score, then lower index) in the
+        # first m columns, then sentinels ranked behind everything: one buffer
+        # pair per m-group, each block fills its rows' first m columns.
+        rel_s = np.full((min(step, chosen.size), width), -np.inf)
+        rel_i = np.full(rel_s.shape, num_g, dtype=np.intp)
+        for start in range(0, chosen.size, step):
+            qs = chosen[start : start + step]
+            rows = len(qs)
+            # Consecutive queries rank their rows of scores in place (each row is
+            # ranked once, so the junk written into it is never read again);
+            # scattered ones rank a copy.
+            block = scores[qs[0] : qs[-1] + 1] if qs[-1] - qs[0] < rows else scores[qs]
             # The block's same-identity (row, column) pairs, row by row.
             n = same[qs]
             offset = np.repeat(lo[qs] - np.cumsum(n) + n, n)
             col = by_id[np.arange(offset.size) + offset]
             if cross_camera_filter:
-                row = np.repeat(np.arange(len(qs)), n)
+                row = np.repeat(np.arange(rows), n)
                 junk = gallery.camera_array[col] == query.camera_array[qs][row]
                 block[row[junk], col[junk]] = -np.inf
                 col = col[~junk]
-            # Relevant items in rank order (higher score, then lower index), then
-            # sentinels ranked behind everything, up to width > m columns.
-            rel_i = col.reshape(len(qs), m)
-            rel_s = np.take_along_axis(block, rel_i, axis=1)
-            order, pad = np.argsort(-rel_s, axis=1, kind="stable"), ((0, 0), (0, width - m))
-            rel_s = np.pad(np.take_along_axis(rel_s, order, 1), pad, constant_values=-np.inf)
-            rel_i = np.pad(np.take_along_axis(rel_i, order, 1), pad, constant_values=num_g)
+            # Flat gathers: (row, column) is row * row length + column.
+            base = np.arange(rows)[:, None]
+            rel_col = col.reshape(rows, m)
+            rel_val = block.take(rel_col + base * num_g)
+            order = np.argsort(-rel_val, axis=1, kind="stable") + base * m
+            rel_s[:rows, :m], rel_i[:rows, :m] = rel_val.take(order), rel_col.take(order)
             # Candidates: only items scoring at least the lowest relevant score can
             # rank ahead of a relevant item; every other item ranks behind all m.
-            candidate = block >= rel_s[:, m - 1 : m]
+            candidate = block >= rel_s[:rows, m - 1 : m]
             flat = np.flatnonzero(candidate)
             vals = block.take(flat)
             # k: flat index of (row, number of relevant items ranked ahead), bit by bit.
-            k = np.repeat(np.arange(0, rel_s.size, width), np.count_nonzero(candidate, axis=1))
+            k = flat // num_g * width
             bit = width
             while bit := bit // 2:
                 j = k + (bit - 1)
@@ -182,9 +195,9 @@ def evaluate(
                 ahead[tie] = rel_i.take(j[tie]) < flat[tie] % num_g
                 k += ahead * bit
             # Items with k <= r rank at or ahead of relevant item r: r's 1-based rank.
-            hits = np.bincount(k, minlength=rel_s.size).reshape(-1, width)
+            hits = np.bincount(k, minlength=rows * width).reshape(-1, width)
             hits = hits[:, :m].cumsum(axis=1)
-            first[qs], ap[qs] = hits[:, 0], (np.arange(1, m + 1) / hits).mean(axis=1)
+            first[qs], ap[qs] = hits[:, 0], (np.arange(1, m + 1) / hits).sum(axis=1) / m
 
     done = counts > 0
     evaluated = int(np.count_nonzero(done))

@@ -515,6 +515,67 @@ class TestPrunedSearchMatchesReference:
         assert peak <= 1.3 * len(lr) * len(hr) * 8
 
 
+def camera_sets(seed, gallery_rows, query_rows, dim=3):
+    """Sets from (identity, camera) lists, with small-integer vectors that tie
+    often; the gallery rows are shuffled so no identity's columns are adjacent."""
+    rng = np.random.default_rng(seed)
+
+    def built(rows, rate):
+        vecs = rng.integers(-2, 3, size=(len(rows), dim)).astype(float)
+        vecs[~vecs.any(axis=1), 0] = 1.0  # cosine needs non-zero norms
+        ids, cams = np.array(rows).T
+        return EmbeddingSet(vecs, ids, cams, np.full(len(rows), rate))
+
+    return built(query_rows, LR2), built(
+        [gallery_rows[i] for i in rng.permutation(len(gallery_rows))], HR)
+
+
+class TestBlockPaths:
+    """Blocks of consecutive query rows are ranked inside evaluate's score
+    matrix, scattered ones in a copy; both give the reference report."""
+
+    def check(self, monkeypatch, query, gallery):
+        monkeypatch.setattr(retrieval, "EVAL_BLOCK", 3 * len(gallery))  # 3-row blocks
+        def arrays():
+            return [a.tobytes() for s in (query, gallery)
+                    for a in (s.matrix, s.identity_array, s.camera_array, s.rate_array)]
+
+        kept, scored, score = arrays(), [], retrieval._scores
+
+        def kept_scores(*args):  # evaluate's own score matrix, kept for inspection
+            scored.append(score(*args))
+            return scored[-1]
+
+        monkeypatch.setattr(retrieval, "_scores", kept_scores)
+        for metric in ("cosine", "euclidean"):
+            for camera_filter in (True, False):
+                got = evaluate(query, gallery, metric, camera_filter, ks=(1, 2, 5))
+                assert got == reference_evaluate(query, gallery, metric, camera_filter,
+                                                 ks=(1, 2, 5))
+        assert arrays() == kept
+        return scored  # cosine then euclidean, camera filter on then off
+
+    def test_one_group_of_consecutive_rows_is_ranked_in_place(self, monkeypatch):
+        # two items per camera 0..2 for ids 0..5: with the filter every query keeps
+        # m = 4 relevant items, without it m = 6, so all 10 queries form one group
+        gallery_rows = [(i, c) for i in range(6) for c in (0, 0, 1, 1, 2, 2)] + [(9, 1)] * 5
+        rng = np.random.default_rng(1)
+        query_rows = list(zip(rng.integers(0, 6, 10).tolist(), rng.integers(0, 3, 10).tolist()))
+        query, gallery = camera_sets(1, gallery_rows, query_rows)
+        scored = self.check(monkeypatch, query, gallery)
+        # junk went into evaluate's own matrix: two items per query, filter on only
+        assert [np.isneginf(s).sum() for s in scored] == [20, 0, 20, 0]
+
+    def test_interleaved_groups_are_ranked_in_copies(self, monkeypatch):
+        # ids 0 and 1 keep 2 and 3 relevant items (3 and 4 without the filter);
+        # their queries alternate row by row, so no block has consecutive rows
+        gallery_rows = [(0, 1), (0, 1), (0, 0), (1, 1), (1, 1), (1, 1), (1, 0)] + [(9, 2)] * 6
+        query_rows = [(i % 2, 0) for i in range(10)]
+        query, gallery = camera_sets(2, gallery_rows, query_rows)
+        scored = self.check(monkeypatch, query, gallery)
+        assert [np.isneginf(s).sum() for s in scored] == [0, 0, 0, 0]
+
+
 class TestCentroids:
     def test_identical_sets_have_zero_distances(self):
         s = generate(SynthConfig(num_identities=6, seed=9))
