@@ -122,9 +122,8 @@ class EmbeddingSet:
     """
 
     def __init__(self, matrix, identity, camera, rate) -> None:
-        matrix, identity, camera = (
-            _column(matrix, np.float64), _column(identity, np.int64), _column(camera, np.int64))
-        rate = np.asarray(rate)
+        matrix = _column(matrix, np.float64)
+        labels = identity, camera, rate = [np.asarray(a) for a in (identity, camera, rate)]
         if matrix.ndim != 2 or matrix.shape[1] < 1:
             raise ValueError(f"matrix must be (N, dim) with dim >= 1, got shape {matrix.shape}")
         if not matrix.shape[0] == identity.shape[0] == camera.shape[0] == rate.shape[0]:
@@ -134,6 +133,13 @@ class EmbeddingSet:
         if not (math.isfinite(matrix.min(initial=0.0)) and math.isfinite(matrix.max(initial=0.0))):
             i = int(np.argmin(np.isfinite(matrix).all(axis=1)))
             raise ValueError(f"non-finite value in record {i}")
+        # Float labels must hold integers: the cast would truncate 1.7 to 1, and warn on NaN.
+        fractional = [~np.isfinite(a) | (np.trunc(a) != a) for a in labels if a.dtype.kind == "f"]
+        if fractional and (bad := np.logical_or.reduce(fractional)).any():
+            i = int(bad.argmax())
+            raise ValueError(f"record {i}: identity, camera and rate must be integers, "
+                             f"got {identity[i]}, {camera[i]} and {rate[i]}")
+        identity, camera = _column(identity, np.int64), _column(camera, np.int64)
         for bad, message in (  # one vectorized pass per check
             ((identity < 0) | (camera < 0),
              "record {i}: identity and camera IDs must be non-negative"),

@@ -11,12 +11,11 @@ once by identity, not from a Q x G mask.  Only its candidates, the items
 scoring at or above its lowest relevant score, can rank ahead of a relevant
 item; a binary search over the m relevant items places each candidate.  Per
 query that is one O(G) comparison, an O(m log m) sort and O(c log m) for c
-candidates.  Queries with equal m share blocks of EVAL_BLOCK // G rows (at
-least one); their relevant scores and indices, padded with sentinels to a
-power of two above m, fill two buffers allocated once per m.  A block of
-consecutive query rows is ranked in place in the score matrix; a scattered
-one in a copy of its rows.  Memory: one Q x G float64 score matrix and a few
-arrays of EVAL_BLOCK (or G) elements.
+candidates.  Blocks of EVAL_BLOCK // G consecutive query rows (at least
+one) are ranked in place in the score matrix, each row with its own m; the
+rows' relevant scores and indices, padded with sentinels to a power of two
+above the block's largest m, fill two buffers.  Memory: one Q x G float64
+score matrix and a few arrays of EVAL_BLOCK (or G) elements.
 """
 
 from __future__ import annotations
@@ -147,57 +146,56 @@ def evaluate(
         keys, q_keys = np.sort(g_id * num_cams + g_cam), q_id * num_cams + q_cam
         counts = same - (np.searchsorted(keys, q_keys, "right") - np.searchsorted(keys, q_keys))
 
-    # Equal-m queries share blocks: each AP is its row's sum / m, as a 1-d mean.
     first, ap = np.empty(num_q, dtype=np.intp), np.empty(num_q)  # 1-based first hit
     step = max(1, EVAL_BLOCK // num_g)
-    for m in np.unique(counts[counts > 0]).tolist():
-        chosen, width = np.flatnonzero(counts == m), 1 << m.bit_length()
-        # Relevant items in rank order (higher score, then lower index) in the
-        # first m columns, then sentinels ranked behind everything: one buffer
-        # pair per m-group, each block fills its rows' first m columns.
-        rel_s = np.full((min(step, chosen.size), width), -np.inf)
-        rel_i = np.full(rel_s.shape, num_g, dtype=np.intp)
-        for start in range(0, chosen.size, step):
-            qs = chosen[start : start + step]
-            rows = len(qs)
-            # Consecutive queries rank their rows of scores in place (each row is
-            # ranked once, so the junk written into it is never read again);
-            # scattered ones rank a copy.
-            block = scores[qs[0] : qs[-1] + 1] if qs[-1] - qs[0] < rows else scores[qs]
-            # The block's same-identity (row, column) pairs, row by row.
-            n = same[qs]
-            offset = np.repeat(lo[qs] - np.cumsum(n) + n, n)
-            col = by_id[np.arange(offset.size) + offset]
-            if cross_camera_filter:
-                row = np.repeat(np.arange(rows), n)
-                junk = gallery.camera_array[col] == query.camera_array[qs][row]
-                block[row[junk], col[junk]] = -np.inf
-                col = col[~junk]
-            # Flat gathers: (row, column) is row * row length + column.
-            base = np.arange(rows)[:, None]
-            rel_col = col.reshape(rows, m)
-            rel_val = block.take(rel_col + base * num_g)
-            order = np.argsort(-rel_val, axis=1, kind="stable") + base * m
-            rel_s[:rows, :m], rel_i[:rows, :m] = rel_val.take(order), rel_col.take(order)
-            # Candidates: only items scoring at least the lowest relevant score can
-            # rank ahead of a relevant item; every other item ranks behind all m.
-            candidate = block >= rel_s[:rows, m - 1 : m]
-            flat = np.flatnonzero(candidate)
-            vals = block.take(flat)
-            # k: flat index of (row, number of relevant items ranked ahead), bit by bit.
-            k = flat // num_g * width
-            bit = width
-            while bit := bit // 2:
-                j = k + (bit - 1)
-                s = rel_s.take(j)
-                ahead = s > vals
-                tie = np.flatnonzero(s == vals)  # few: break them by gallery index
-                ahead[tie] = rel_i.take(j[tie]) < flat[tie] % num_g
-                k += ahead * bit
-            # Items with k <= r rank at or ahead of relevant item r: r's 1-based rank.
-            hits = np.bincount(k, minlength=rows * width).reshape(-1, width)
-            hits = hits[:, :m].cumsum(axis=1)
-            first[qs], ap[qs] = hits[:, 0], (np.arange(1, m + 1) / hits).sum(axis=1) / m
+    for start in range(0, num_q, step):
+        # Consecutive query rows, ranked in place: each row of scores is ranked
+        # once, so the junk written into it is never read again.
+        qs = slice(start, start + step)
+        block, m, n = scores[qs], counts[qs], same[qs]
+        rows = len(block)
+        # The block's same-identity (row, column) pairs, row by row.
+        row = np.repeat(np.arange(rows), n)
+        col = by_id[np.arange(row.size) + np.repeat(lo[qs] - np.cumsum(n) + n, n)]
+        if cross_camera_filter:
+            junk = gallery.camera_array[col] == query.camera_array[qs][row]
+            block[row[junk], col[junk]] = -np.inf
+            row, col = row[~junk], col[~junk]
+        # Relevant items in the first m columns of their row, then sentinels ranked
+        # behind everything; one stable sort of each row puts them in rank order
+        # (higher score, then lower index).
+        sizes = set(m.tolist())
+        width = 1 << max(sizes).bit_length()
+        relevant = np.arange(width) < m[:, None]  # filled row by row, as the pairs come
+        rel_s, rel_i = np.full((rows, width), -np.inf), np.full((rows, width), num_g)
+        rel_s[relevant], rel_i[relevant] = block.take(row * num_g + col), col  # flat gather
+        order = np.argsort(-rel_s, axis=1, kind="stable") + np.arange(rows)[:, None] * width
+        rel_s, rel_i = rel_s.take(order), rel_i.take(order)
+        # Candidates: only items scoring at least the lowest relevant score can rank
+        # ahead of a relevant item; every other item ranks behind all m.  A row with
+        # m = 0 (a skipped query) has none.
+        lowest = np.where(relevant, rel_s, np.inf).min(axis=1, keepdims=True)
+        flat = np.flatnonzero(block >= lowest)
+        vals = block.take(flat)
+        # k: flat index of (row, number of relevant items ranked ahead), bit by bit.
+        k = flat // num_g * width
+        bit = width
+        while bit := bit // 2:
+            j = k + (bit - 1)
+            s = rel_s.take(j)
+            ahead = s > vals
+            tie = np.flatnonzero(s == vals)  # few: break them by gallery index
+            ahead[tie] = rel_i.take(j[tie]) < flat[tie] % num_g
+            k += ahead * bit
+        # Items with k <= r rank at or ahead of relevant item r: r's 1-based rank.
+        hits = np.bincount(k, minlength=rows * width).reshape(-1, width).cumsum(axis=1)
+        first[qs] = hits[:, 0]
+        # Each AP is its row's sum / m over its own m columns, as a 1-d mean; rows of
+        # equal m are summed together, since zero padding would change the rounding.
+        # ap[qs] is a view, so the masked assignment writes into ap.
+        for size in sizes - {0}:
+            r = m == size
+            ap[qs][r] = (np.arange(1, size + 1) / hits[r, :size]).sum(axis=1) / size
 
     done = counts > 0
     evaluated = int(np.count_nonzero(done))

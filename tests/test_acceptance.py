@@ -289,6 +289,20 @@ def test_desk_stats_report_hash(pipeline, monkeypatch):
         assert hashlib.sha256(fh.read()).hexdigest()[:16] == "445bbfb8dc8811a4"
 
 
+@pytest.mark.parametrize("gen_args, want", [
+    # the desk set before panning: 2,000 x 2,000, every query keeps m = 5
+    (("--dim", "64", "--ids", "200", "--per-res", "10"), "bb45cbb76dfff40e"),
+    # the gallery set: 9,000 x 3,000, queries alternate m = 2 and m = 3
+    (("--dim", "256", "--ids", "600", "--per-res", "5", "--rates", "2,3,4"), "020ad1aaed2091b2"),
+])
+def test_per_query_ap_table_hash(tmp_path, gen_args, want):
+    # the report pins only 6 digits; the eval --csv table holds every AP at %.17g
+    run_cli("gen", *gen_args, "--seed", "7", "--out", str(tmp_path / "s.vpfa"))
+    run_cli("eval", "--data", str(tmp_path / "s.vpfa"), "--out", str(tmp_path / "e.txt"),
+            "--csv", str(tmp_path / "ap.csv"))
+    assert hashlib.sha256((tmp_path / "ap.csv").read_bytes()).hexdigest()[:16] == want
+
+
 def test_criterion_12_parameter_count():
     count = parameter_count(3840, 2048)
     print(f"parameter count at dim 3840, hidden 2048: {count}")

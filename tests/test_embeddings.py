@@ -759,6 +759,29 @@ class TestColumnarStorage:
         with pytest.raises(ValueError, match=message):
             EmbeddingSet(*cols)
 
+    @pytest.mark.parametrize("column, value, got", [
+        (1, 1.7, "got 1.7, 0 and 0"),
+        (1, np.nan, "got nan, 0 and 0"),
+        (1, np.inf, "got inf, 0 and 0"),
+        (2, 0.5, "got 1, 0.5 and 0"),
+        (3, 2.9, "got 1, 0 and 2.9"),
+        (3, np.nan, "got 1, 0 and nan"),
+    ])
+    def test_constructor_refuses_labels_that_are_not_integers(self, column, value, got, recwarn):
+        cols = [np.array(c) for c in columns()]
+        cols[column] = cols[column].astype(float)
+        cols[column][4] = value
+        cols[column][7] = value
+        with pytest.raises(ValueError, match=f"^record 4: identity, camera and rate must be "
+                                             f"integers, {got}$"):
+            EmbeddingSet(*cols)
+        assert not recwarn.list  # no cast of a NaN or an infinity
+
+    def test_integer_valued_float_labels_keep_their_values(self):
+        matrix, ids, cams, rates = columns()
+        twin = EmbeddingSet(matrix, *(np.array(c, dtype=float) for c in (ids, cams, rates)))
+        assert_columns_equal(twin, EmbeddingSet(matrix, ids, cams, rates))
+
     def test_finiteness_check_builds_no_mask_of_the_matrix(self):
         matrix = np.random.default_rng(7).standard_normal((2000, 64))
         labels = np.zeros(2000, np.int64)

@@ -531,8 +531,8 @@ def camera_sets(seed, gallery_rows, query_rows, dim=3):
 
 
 class TestBlockPaths:
-    """Blocks of consecutive query rows are ranked inside evaluate's score
-    matrix, scattered ones in a copy; both give the reference report."""
+    """Every block is a run of consecutive query rows, each with its own m,
+    ranked inside evaluate's score matrix; each gives the reference report."""
 
     def check(self, monkeypatch, query, gallery):
         monkeypatch.setattr(retrieval, "EVAL_BLOCK", 3 * len(gallery))  # 3-row blocks
@@ -566,14 +566,40 @@ class TestBlockPaths:
         # junk went into evaluate's own matrix: two items per query, filter on only
         assert [np.isneginf(s).sum() for s in scored] == [20, 0, 20, 0]
 
-    def test_interleaved_groups_are_ranked_in_copies(self, monkeypatch):
+    def test_interleaved_relevant_counts_are_ranked_in_place(self, monkeypatch):
         # ids 0 and 1 keep 2 and 3 relevant items (3 and 4 without the filter);
-        # their queries alternate row by row, so no block has consecutive rows
+        # their queries alternate row by row, so every block mixes the two
         gallery_rows = [(0, 1), (0, 1), (0, 0), (1, 1), (1, 1), (1, 1), (1, 0)] + [(9, 2)] * 6
         query_rows = [(i % 2, 0) for i in range(10)]
         query, gallery = camera_sets(2, gallery_rows, query_rows)
         scored = self.check(monkeypatch, query, gallery)
-        assert [np.isneginf(s).sum() for s in scored] == [0, 0, 0, 0]
+        # junk went into evaluate's own matrix: one item per query, filter on only
+        assert [np.isneginf(s).sum() for s in scored] == [10, 0, 10, 0]
+
+    def test_blocks_that_start_with_skipped_rows(self, monkeypatch):
+        # with the filter, ids 0 and 1 keep m = 2 and 3, id 2 only has junk and
+        # id 5 is not in the gallery, so both are skipped (m = 0); the first block
+        # starts with a skipped row and mixes m = 0, 2, 3, the second skips all three
+        gallery_rows = [(0, 1), (0, 1), (0, 0), (1, 1), (1, 1), (1, 1), (1, 0),
+                        (2, 0), (2, 0)] + [(9, 2)] * 6
+        query_rows = [(5, 0), (0, 0), (1, 0), (2, 0), (5, 1), (2, 0), (0, 0), (1, 0),
+                      (2, 0), (1, 0)]
+        query, gallery = camera_sets(3, gallery_rows, query_rows)
+        assert evaluate(query, gallery).num_skipped == 5
+        assert evaluate(query, gallery, cross_camera_filter=False).num_skipped == 2
+        scored = self.check(monkeypatch, query, gallery)
+        assert [np.isneginf(s).sum() for s in scored] == [11, 0, 11, 0]
+
+    def test_gallery_shaped_set_at_the_default_block(self):
+        # three rates and 5 HR samples on cameras 0, 1, 0, 1, 0: queries on camera 0
+        # keep m = 2, those on camera 1 m = 3, alternating row by row in every block
+        s = generate(SynthConfig(dim=16, num_identities=100, samples_per_res=5,
+                                 shift_magnitude={2: 2.0, 3: 3.0, 4: 4.0}, rates=(2, 3, 4),
+                                 seed=7))
+        lr, hr = split(s)
+        assert (len(lr), len(hr)) == (1500, 500)
+        assert lr.camera_array[:5].tolist() == [0, 1, 0, 1, 0]
+        assert_matches_reference(lr, hr)
 
 
 class TestCentroids:
