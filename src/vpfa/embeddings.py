@@ -139,16 +139,20 @@ class EmbeddingSet:
             i = int(bad.argmax())
             raise ValueError(f"record {i}: identity, camera and rate must be integers, "
                              f"got {identity[i]}, {camera[i]} and {rate[i]}")
-        identity, camera = _column(identity, np.int64), _column(camera, np.int64)
-        for bad, message in (  # one vectorized pass per check
+        for bad, message in (  # one vectorized pass per check, before the casts
             ((identity < 0) | (camera < 0),
              "record {i}: identity and camera IDs must be non-negative"),
+            # only float, unsigned and object (Python int) labels reach 2**63, which the
+            # int64 cast would turn into a warning, a negative number or an OverflowError
+            (np.logical_or.reduce([a >= 2**63 for a in (identity, camera) if a.dtype.kind in "fuO"]),
+             "record {i}: identity and camera IDs must be below 2**63"),
             ((rate == 1) | (rate < 0) | (rate > 255),
              "record {i}: LR rate must be >= 2 and <= 255, got {r}"),
         ):
             if bad.any():
                 i = int(bad.argmax())
                 raise ValueError(message.format(i=i, r=rate[i]))
+        identity, camera = _column(identity, np.int64), _column(camera, np.int64)
         self.dim = int(matrix.shape[1])
         self.matrix, self.identity_array, self.camera_array = matrix, identity, camera
         self.rate_array = _column(rate, np.uint8)

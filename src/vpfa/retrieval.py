@@ -6,16 +6,17 @@ with the query are excluded when the camera filter is on; queries with no
 remaining relevant item are skipped and counted.  Ties in similarity break
 by gallery record index.  No row is sorted: a relevant item's 0-based rank
 is the count of non-excluded items scoring higher plus equal scorers at a
-lower index.  Each query's m relevant items come from the gallery sorted
-once by identity, not from a Q x G mask.  Only its candidates, the items
-scoring at or above its lowest relevant score, can rank ahead of a relevant
-item; a binary search over the m relevant items places each candidate.  Per
-query that is one O(G) comparison, an O(m log m) sort and O(c log m) for c
-candidates.  Blocks of EVAL_BLOCK // G consecutive query rows (at least
-one) are ranked in place in the score matrix, each row with its own m; the
-rows' relevant scores and indices, padded with sentinels to a power of two
-above the block's largest m, fill two buffers.  Memory: one Q x G float64
-score matrix and a few arrays of EVAL_BLOCK (or G) elements.
+lower index.  Each query's same-identity items come from the gallery sorted
+once by identity, not from a Q x G mask; each block counts its rows' junk
+from the pairs it marks, and m is what is left.  Only a query's candidates,
+the items scoring at or above its lowest relevant score, can rank ahead of
+a relevant item; a binary search over the m relevant items places each
+candidate.  Per query that is one O(G) comparison, an O(m log m) sort and
+O(c log m) for c candidates.  Blocks of EVAL_BLOCK // G consecutive query
+rows (at least one) are ranked in place in the score matrix, each row with
+its own m; the rows' relevant scores and indices, padded with sentinels to
+a power of two above the block's largest m, fill two buffers.  Memory: one
+Q x G float64 score matrix and a few arrays of EVAL_BLOCK (or G) elements.
 """
 
 from __future__ import annotations
@@ -110,12 +111,6 @@ def _scores(query_mat, gallery_mat, metric):
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def _ranks(a, b):
-    """Dense ranks of the values of ``a`` and of ``b`` among both, and the number of values."""
-    values, rank = np.unique(np.concatenate([a, b]), return_inverse=True)
-    return rank[: len(a)], rank[len(a):], len(values)
-
-
 def evaluate(
     query: EmbeddingSet,
     gallery: EmbeddingSet,
@@ -138,13 +133,7 @@ def evaluate(
     sorted_ids = gallery.identity_array[by_id]
     lo = np.searchsorted(sorted_ids, query.identity_array)
     same = np.searchsorted(sorted_ids, query.identity_array, side="right") - lo
-    counts = same
-    if cross_camera_filter:  # junk: same identity and camera, ranked behind the rest
-        # Keys of ranks, not of raw IDs: two IDs up to 2**63 - 1 overflow an int64 key.
-        q_id, g_id, _ = _ranks(query.identity_array, gallery.identity_array)
-        q_cam, g_cam, num_cams = _ranks(query.camera_array, gallery.camera_array)
-        keys, q_keys = np.sort(g_id * num_cams + g_cam), q_id * num_cams + q_cam
-        counts = same - (np.searchsorted(keys, q_keys, "right") - np.searchsorted(keys, q_keys))
+    counts = same.copy()  # relevant items per query: same identity, less the block's junk
 
     first, ap = np.empty(num_q, dtype=np.intp), np.empty(num_q)  # 1-based first hit
     step = max(1, EVAL_BLOCK // num_g)
@@ -157,8 +146,9 @@ def evaluate(
         # The block's same-identity (row, column) pairs, row by row.
         row = np.repeat(np.arange(rows), n)
         col = by_id[np.arange(row.size) + np.repeat(lo[qs] - np.cumsum(n) + n, n)]
-        if cross_camera_filter:
+        if cross_camera_filter:  # junk: same identity and camera, ranked behind the rest
             junk = gallery.camera_array[col] == query.camera_array[qs][row]
+            m -= np.bincount(row[junk], minlength=rows)  # a view: this writes counts
             block[row[junk], col[junk]] = -np.inf
             row, col = row[~junk], col[~junk]
         # Relevant items in the first m columns of their row, then sentinels ranked

@@ -30,6 +30,7 @@ from .errors import FormatError
 
 PARAMS_MAGIC = b"VPNP"
 PARAMS_VERSION = 1
+_HEADER = struct.Struct("<4sIII")
 LN_EPS = 1e-5
 
 
@@ -321,18 +322,17 @@ def backward(
 def save_params(params: VPParams, path: str | Path) -> None:
     """Write the header, then the flat parameter vector verbatim (bit-exact reload)."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIII", PARAMS_MAGIC, PARAMS_VERSION, params.dim, params.hidden))
+        fh.write(_HEADER.pack(PARAMS_MAGIC, PARAMS_VERSION, params.dim, params.hidden))
         # from the vector's own buffer (astype copies only on big-endian hosts)
         fh.write(params.flat.astype("<f8", copy=False).data)
 
 
 def load_params(path: str | Path) -> VPParams:
-    head = struct.Struct("<4sIII")
     with open(path, "rb") as fh:
-        data = fh.read(head.size)
-        if len(data) < head.size:
+        data = fh.read(_HEADER.size)
+        if len(data) < _HEADER.size:
             raise FormatError(f"{path}: file too short for a parameter header")
-        magic, version, dim, hidden = head.unpack(data)
+        magic, version, dim, hidden = _HEADER.unpack(data)
         if magic != PARAMS_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}, not a parameter file")
         if version != PARAMS_VERSION:
@@ -340,7 +340,7 @@ def load_params(path: str | Path) -> VPParams:
         if dim < 1 or hidden < 1:
             raise FormatError(f"{path}: non-positive dimensions dim={dim} hidden={hidden}")
         count = parameter_count(dim, hidden)
-        expected = head.size + 8 * count
+        expected = _HEADER.size + 8 * count
         if os.fstat(fh.fileno()).st_size != expected:
             raise FormatError(
                 f"{path}: size mismatch, expected {expected} bytes for dim={dim} hidden={hidden}"

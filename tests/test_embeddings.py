@@ -777,6 +777,35 @@ class TestColumnarStorage:
             EmbeddingSet(*cols)
         assert not recwarn.list  # no cast of a NaN or an infinity
 
+    @pytest.mark.parametrize("label", [[1e19], [2.0**63], [2**63], np.array([2**63], np.uint64),
+                                       [2**70]], ids=["1e19", "2.0**63", "2**63", "uint64", "2**70"])
+    @pytest.mark.parametrize("column", ["identity", "camera"])
+    def test_constructor_refuses_labels_from_2_63_up(self, column, label, recwarn):
+        labels = {"identity": [0], "camera": [0], column: label}
+        with pytest.raises(ValueError, match=r"^record 0: identity and camera IDs must be "
+                                             r"below 2\*\*63$"):
+            EmbeddingSet(np.ones((1, 2)), labels["identity"], labels["camera"], [0])
+        assert not recwarn.list  # no cast warning, no OverflowError
+
+    @pytest.mark.parametrize("label", [[-1e19], [-2**70]], ids=["-1e19", "-2**70"])
+    def test_huge_negative_labels_are_refused_as_negative(self, label, recwarn):
+        with pytest.raises(ValueError, match="^record 0: identity and camera IDs must be "
+                                             "non-negative$"):
+            EmbeddingSet(np.ones((1, 2)), label, [0], [0])
+        assert not recwarn.list
+
+    def test_first_huge_label_is_reported(self):
+        cols = [np.array(c) for c in columns()]
+        cols[2] = cols[2].astype(np.uint64)
+        cols[2][[4, 7]] = 2**64 - 1
+        with pytest.raises(ValueError, match=r"^record 4: .* below 2\*\*63$"):
+            EmbeddingSet(*cols)
+
+    def test_largest_int64_label_loads(self):
+        s = EmbeddingSet(np.ones((2, 2)), [2**63 - 1, 0], [0, 2**63 - 1], [0, 0])
+        assert s.identity_array.tolist() == [2**63 - 1, 0]
+        assert s.camera_array.tolist() == [0, 2**63 - 1]
+
     def test_integer_valued_float_labels_keep_their_values(self):
         matrix, ids, cams, rates = columns()
         twin = EmbeddingSet(matrix, *(np.array(c, dtype=float) for c in (ids, cams, rates)))

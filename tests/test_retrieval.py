@@ -286,12 +286,13 @@ def reference_evaluate(query, gallery, metric="cosine", cross_camera_filter=True
     hits = {k: 0 for k in ks}
     per_query = []
     skipped = 0
-    for qi, rec in enumerate(query.records):
+    labels = zip(query.identity_array.tolist(), query.camera_array.tolist())
+    for qi, (identity, camera) in enumerate(labels):
         ranked = order[qi]
         if cross_camera_filter:
-            junk = (g_ids[ranked] == rec.identity) & (g_cams[ranked] == rec.camera)
+            junk = (g_ids[ranked] == identity) & (g_cams[ranked] == camera)
             ranked = ranked[~junk]
-        matches = g_ids[ranked] == rec.identity
+        matches = g_ids[ranked] == identity
         if not matches.any():
             skipped += 1
             continue
@@ -301,7 +302,7 @@ def reference_evaluate(query, gallery, metric="cosine", cross_camera_filter=True
                 hits[k] += 1
         cum = np.cumsum(matches)
         precision_at_hits = cum[matches] / (np.flatnonzero(matches) + 1.0)
-        per_query.append((qi, rec.identity, float(precision_at_hits.mean())))
+        per_query.append((qi, identity, float(precision_at_hits.mean())))
     evaluated = len(query) - skipped
     return RetrievalReport(
         rank_k={k: hits[k] / evaluated for k in ks},
@@ -497,6 +498,19 @@ class TestPrunedSearchMatchesReference:
         query, gallery = random_sets(3, 80, 200, ids=5, dim=6,
                                      id_p=[0.5, 0.25, 0.15, 0.08, 0.02])
         monkeypatch.setattr(retrieval, "EVAL_BLOCK", 1)
+        assert_matches_reference(query, gallery)
+
+    @pytest.mark.parametrize("block", [1, retrieval.EVAL_BLOCK])
+    def test_labels_at_0_and_the_largest_int64(self, monkeypatch, block):
+        # an identity-and-camera key built from these raw values would overflow int64
+        big = 2**63 - 1
+        gallery_rows = ([(i, c) for i in (0, big) for c in (0, big, 0, big, big)]
+                        + [(7, big)] * 2 + [(5, 1)] * 4)
+        query_rows = [(i, c) for i in (0, big, 7) for c in (0, big)] * 2
+        query, gallery = camera_sets(4, gallery_rows, query_rows)
+        monkeypatch.setattr(retrieval, "EVAL_BLOCK", block)
+        assert evaluate(query, gallery).num_skipped == 2  # id 7 on camera big: only junk
+        assert evaluate(query, gallery, cross_camera_filter=False).num_skipped == 0
         assert_matches_reference(query, gallery)
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
