@@ -16,6 +16,7 @@ from vpfa.embeddings import (
     save_set,
 )
 from vpfa.errors import FormatError
+from vpfa.synthgen import SynthConfig, generate
 
 HEADER_BYTES = 20  # magic, version, dim, count
 
@@ -208,6 +209,82 @@ class TestCsvFormat:
         path = tmp_path / "s.csv"
         save_set(s, path, "csv")
         assert_columns_equal(load_set(path, "csv"), s)
+
+
+def percent_17g_text(eset):
+    """A set's CSV text as ``"%.17g" % v`` writes each value: the reference for the writer."""
+    return "".join(
+        f"{identity},{camera},{rate_tag(rate)}," + ",".join("%.17g" % v for v in row) + "\n"
+        for identity, camera, rate, row in zip(
+            eset.identity_array.tolist(), eset.camera_array.tolist(),
+            eset.rate_array.tolist(), eset.matrix.tolist()))
+
+
+def powers_of_ten_and_neighbours():
+    """The doubles nearest 1e-330 ... 1e308 (0.0 below the subnormals), and the doubles
+    either side of each."""
+    powers = np.array([float(f"1e{p}") for p in range(-330, 309)])
+    return np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+
+
+def exact_18_digit_ties(seed):
+    """M / 2**j for odd M below 2**53 with exactly 18 significant digits, the last a 5: each
+    lies halfway between two 17-digit decimals, so the writer must round half to even."""
+    rng = np.random.default_rng(seed)
+    ties = []
+    for j in range(2, 26):
+        low, high = -(-10**17 // 5**j), min(2**53, 10**18 // 5**j)  # M * 5**j has 18 digits
+        for m in rng.integers(low, high - 1, 12).tolist():
+            m |= 1
+            assert len(str(m * 5**j)) == 18 and str(m * 5**j).endswith("5")
+            ties += [m / 2**j, -m / 2**j]
+    return np.array(ties)
+
+
+def finite_bit_patterns(count, seed):
+    """Doubles with uniformly random bits, infinities and NaNs dropped."""
+    values = np.random.default_rng(seed).integers(0, 2**64, count, dtype=np.uint64).view(np.float64)
+    return values[np.isfinite(values)]
+
+
+def gallery_values():
+    """The values of four identities of the CSV gallery (``gen --dim 256 --rates 2,3,4``)."""
+    cfg = SynthConfig(dim=256, num_identities=4, samples_per_res=5, rates=(2, 3, 4),
+                      shift_magnitude={2: 2.0, 3: 3.0, 4: 4.0}, seed=7)
+    return generate(cfg).matrix.ravel()
+
+
+class TestCsvValueText:
+    """The writer's integer path and its "%" fallback, byte for byte against "%.17g"."""
+
+    def hard_values(self):
+        tiny, top = np.finfo(float).tiny, np.finfo(float).max
+        return np.concatenate([
+            powers_of_ten_and_neighbours(), [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, top, -top],
+            exact_18_digit_ties(seed=1), [560639462230231.125],
+            finite_bit_patterns(20000, seed=2), gallery_values(),
+        ])
+
+    @pytest.mark.parametrize("dim", [1, 7, 256])
+    def test_values_match_percent_17g(self, tmp_path, dim):
+        values = self.hard_values()
+        step = max(1, embeddings._FORMAT_BLOCK_VALUES // dim)  # rows formatted at a time
+        rows = (values.size // (step * dim) + 1) * step + 5  # every value, and a short last block
+        i = np.arange(rows)
+        s = EmbeddingSet(np.resize(values, (rows, dim)), i, i % 3, np.where(i % 2, 2 + i % 254, 0))
+        assert np.isin(values, s.matrix).all()  # every value is written
+        path = tmp_path / "s.csv"
+        save_set(s, path, "csv")
+        assert path.read_bytes() == f"dim={dim}\n{percent_17g_text(s)}".encode("ascii")
+
+    def test_widest_labels_and_values(self, tmp_path):
+        top, big = np.finfo(float).max, 2**63 - 1  # 19-digit IDs, 24-character values
+        s = EmbeddingSet([[-top, -2.2250738585072014e-308, -4.9406564584124654e-324, -1.2345e-5]],
+                         [big], [big], [255])
+        path = tmp_path / "s.csv"
+        save_set(s, path, "csv")
+        assert path.read_text() == f"dim=4\n{percent_17g_text(s)}"
+        assert path.read_text().splitlines()[1].split(",")[:3] == [str(big), str(big), "LRx255"]
 
 
 def assert_no_child_left():
@@ -776,6 +853,35 @@ class TestColumnarStorage:
                                              f"integers, {got}$"):
             EmbeddingSet(*cols)
         assert not recwarn.list  # no cast of a NaN or an infinity
+
+    @pytest.mark.parametrize("label", [np.array([1.5, 3], dtype=object), [1.5, 2**64]],
+                             ids=["object array", "list with 2**64"])
+    @pytest.mark.parametrize("column", [1, 2, 3])
+    def test_constructor_refuses_object_labels_that_are_not_integers(self, column, label, recwarn):
+        cols = [np.ones((2, 2)), [0, 0], [0, 0], [0, 0]]
+        cols[column] = label
+        got = ["0", "0", "0"]
+        got[column - 1] = "1.5"
+        with pytest.raises(ValueError, match=f"^record 0: identity, camera and rate must be "
+                                             f"integers, got {got[0]}, {got[1]} and {got[2]}$"):
+            EmbeddingSet(*cols)
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("label", [np.nan, np.inf, None, "3"], ids=str)
+    def test_object_labels_that_are_not_numbers_are_refused(self, label, recwarn):
+        identity = np.array([0, label], dtype=object)
+        message = "^record 1: identity, camera and rate must be integers"
+        with pytest.raises(ValueError, match=message):
+            EmbeddingSet(np.ones((2, 2)), identity, [0, 0], [0, 0])
+        assert not recwarn.list
+
+    def test_integer_object_labels_load(self):
+        labels = [np.array(a, dtype=object) for a in ([1, 2.0, np.int64(3)], [0, 1, 2**63 - 1],
+                                                      [0, 2, 255])]
+        s = EmbeddingSet(np.ones((3, 2)), *labels)
+        assert s.identity_array.tolist() == [1, 2, 3]
+        assert s.camera_array.tolist() == [0, 1, 2**63 - 1]
+        assert s.rate_array.tolist() == [0, 2, 255]
 
     @pytest.mark.parametrize("label", [[1e19], [2.0**63], [2**63], np.array([2**63], np.uint64),
                                        [2**70]], ids=["1e19", "2.0**63", "2**63", "uint64", "2**70"])
