@@ -126,7 +126,8 @@ class EmbeddingSet:
     Stored as four read-only arrays of N rows: ``matrix`` (N x dim float64),
     ``identity_array``, ``camera_array`` (int64) and ``rate_array`` (uint8,
     0 = HR, else the LR rate).  An argument that owns its data in the stored
-    dtype is kept and made read-only; any other argument is copied.
+    dtype is kept and made read-only; any other argument is copied.  The
+    pairings of :meth:`paired_rows` are kept once built.
     """
 
     def __init__(self, matrix, identity, camera, rate) -> None:
@@ -165,6 +166,7 @@ class EmbeddingSet:
         self.dim = int(matrix.shape[1])
         self.matrix, self.identity_array, self.camera_array = matrix, identity, camera
         self.rate_array = _column(rate, np.uint8)
+        self._pairings = {}  # paired_rows' memo, by checked rates
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
@@ -201,12 +203,20 @@ class EmbeddingSet:
     def paired_rows(self, rates: Sequence[int] | None = None) -> tuple[list[int], list, list]:
         """The HR/LR pairing of statistics and training: the sorted identities with
         at least one HR and one LR sample at ``rates`` (distinct LR rates; every
-        LR rate when None), and each one's HR and LR row indices, in record order."""
-        lr_mask = (self.rate_array != 0 if rates is None
-                   else np.isin(self.rate_array, check_lr_rates(rates)))
-        hr, lr = self.rows_by_identity(self.rate_array == 0), self.rows_by_identity(lr_mask)
-        ids = sorted(hr.keys() & lr.keys())
-        return ids, [hr[i] for i in ids], [lr[i] for i in ids]
+        LR rate when None), and each one's HR and LR row indices, in record order.
+
+        Each pairing is built on first use and kept; its row arrays are read-only
+        and every call returns new lists."""
+        key = None if rates is None else tuple(check_lr_rates(rates))
+        if key not in self._pairings:
+            lr_mask = self.rate_array != 0 if key is None else np.isin(self.rate_array, key)
+            hr, lr = self.rows_by_identity(self.rate_array == 0), self.rows_by_identity(lr_mask)
+            ids = sorted(hr.keys() & lr.keys())
+            hr, lr = [hr[i] for i in ids], [lr[i] for i in ids]
+            for rows in hr + lr:
+                rows.setflags(write=False)
+            self._pairings[key] = ids, hr, lr
+        return tuple(map(list, self._pairings[key]))
 
     def _mask(self, mask, what: str) -> np.ndarray:
         mask = np.asarray(mask)

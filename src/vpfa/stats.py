@@ -14,7 +14,8 @@ the pairing that training uses too: the sorted identities with both HR and
 LR-at-rate samples and, for each, the row indices of its HR and of its LR
 samples in record order.  Means are ``matrix[rows].mean(axis=0)``; HR/LR
 pairs take the first min(#HR, #LR) rows of an identity on each side.
-``analyze_set`` builds each rate's pairing once for all three.
+The set keeps each rate's pairing, so ``analyze_set`` builds it once for all
+three.
 """
 
 from __future__ import annotations
@@ -264,21 +265,6 @@ def grouped_pearson(
                         group_count=num_groups)
 
 
-class _PairedOnce(EmbeddingSet):
-    """The set that ``analyze_set`` hands its analyses: ``eset``'s own arrays, with the
-    pairing of each ``rates`` built on first use and kept."""
-
-    def __init__(self, eset: EmbeddingSet) -> None:  # shares the arrays, checks nothing again
-        vars(self).update(vars(eset))
-        self._pairings = {}
-
-    def paired_rows(self, rates=None):
-        key = None if rates is None else tuple(rates)
-        if key not in self._pairings:
-            self._pairings[key] = super().paired_rows(rates)
-        return self._pairings[key]
-
-
 def lr_rates(eset: EmbeddingSet) -> list[int]:
     """Sorted LR rates present in the set."""
     return [rate for rate in np.unique(eset.rate_array).tolist() if rate]
@@ -298,7 +284,6 @@ def analyze_set(
     if not rates:
         raise DataError("set contains no LR records")
     split, cca, pear = {}, {}, {}
-    eset = _PairedOnce(eset)
     for rate in rates:
         split[rate] = split_cosine(eset, rate)
         cca[rate] = cca_with_random_baseline(eset, rate, eps=cca_eps, seed=seed, rows=cca_rows)

@@ -42,18 +42,17 @@ class TrainConfig:
     bootstrap_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.learning_rate) and math.isfinite(self.weight_decay)):
-            raise ValueError("learning_rate and weight_decay must be finite")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.num_pairs < 1:
-            raise ValueError("learning_rate, batch_size, num_pairs must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
-        if not 0 < self.bootstrap_fraction <= 1:
-            raise ValueError("bootstrap_fraction must be in (0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        for name, ok, must in (  # each comparison is also false for nan
+            ("epochs", self.epochs >= 0, "non-negative"),
+            ("learning_rate", 0 < self.learning_rate < math.inf, "finite and positive"),
+            ("weight_decay", 0 <= self.weight_decay < math.inf, "finite and non-negative"),
+            ("batch_size", self.batch_size >= 1, "positive"),
+            ("num_pairs", self.num_pairs >= 1, "positive"),
+            ("seed", self.seed >= 0, "non-negative"),
+            ("bootstrap_fraction", 0 < self.bootstrap_fraction <= 1, "in (0, 1]"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {must}, got {getattr(self, name)}")
 
 
 @dataclass

@@ -161,11 +161,17 @@ class TestErrorPaths:
         (["gen", "--seed", "-1"], "seed must be non-negative, got -1"),
         (["gen", "--direction-seed", "-1"], "direction_seed must be non-negative, got -1"),
         (["stats", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["gen", "--dim", "0"], "dim must be positive"),
+        (["gen", "--ids", "0"], "need at least one identity"),
+        (["gen", "--cameras", "0"], "need at least one camera"),
+        (["train", "--epochs", "-1"], "epochs must be non-negative, got -1"),
+        (["train", "--wd", "-1"], "weight_decay must be finite and non-negative, got -1.0"),
     ], ids=["gen-300", "gen-1", "gen-alpha-0", "gen-repeated", "train-1", "train-300",
             "stats-0", "stats-256", "train-repeated", "stats-repeated", "gen-sigma-proto-inf",
             "gen-sigma-id-nan", "gen-sigma-res-inf", "gen-alpha-inf", "gen-alpha-nan",
             "train-init-std-nan", "train-init-std-inf", "train-init-seed", "gen-seed",
-            "gen-direction-seed", "stats-seed"])
+            "gen-direction-seed", "stats-seed", "gen-dim-0", "gen-ids-0", "gen-cameras-0",
+            "train-epochs", "train-wd"])
     def test_bad_flag_value_exits_1_without_output(self, synth_file, tmp_path, capsys, argv,
                                                    message):
         data = [] if argv[0] == "gen" else ["--data", str(synth_file)]
@@ -182,9 +188,14 @@ class TestErrorPaths:
         (["--init-seed", "-1"], "init seed must be non-negative, got -1"),
         (["--hidden", "0"], "hidden must be positive, got 0"),
         (["--rates", "2,300"], "LR rate must be >= 2 and <= 255, got 300"),
-        (["--lr", "nan"], "learning_rate and weight_decay must be finite"),
-        (["--bootstrap-frac", "2"], "bootstrap_fraction must be in (0, 1]"),
-    ], ids=["init-std", "init-seed", "hidden", "rates", "lr", "bootstrap-frac"])
+        (["--lr", "nan"], "learning_rate must be finite and positive, got nan"),
+        (["--lr", "0"], "learning_rate must be finite and positive, got 0.0"),
+        (["--batch", "0"], "batch_size must be positive, got 0"),
+        (["--pairs", "0"], "num_pairs must be positive, got 0"),
+        (["--train-seed", "-1"], "seed must be non-negative, got -1"),
+        (["--bootstrap-frac", "2"], "bootstrap_fraction must be in (0, 1], got 2.0"),
+    ], ids=["init-std", "init-seed", "hidden", "rates", "lr", "lr-0", "batch", "pairs",
+            "train-seed", "bootstrap-frac"])
     def test_train_flags_are_checked_before_the_set_is_read(self, tmp_path, capsys,
                                                             monkeypatch, argv, message):
         def load_set(*args):
@@ -216,6 +227,43 @@ class TestErrorPaths:
         assert run("stats", "--data", str(tmp_path / "s.vpfa"), *argv,
                    "--out", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name, content, argv, message", [
+        ("s.csv", b"dim=abc\n", ["eval", "--data", "{path}", "--format", "csv"],
+         "{path}: line 1: malformed header 'dim=abc'"),
+        ("s.vpfa", struct.pack("<4sIIQ", b"VPFA", 2, 4, 0), ["eval", "--data", "{path}"],
+         "{path}: unsupported version 2"),
+        ("p.vpnp", b"VPNP\x01\x00", ["apply", "--data", "{synth}", "--params", "{path}"],
+         "{path}: file too short for a parameter header"),
+        ("s.vpfa", EmbeddingSet([[0.0, 0], [1, 0], [0, 1], [1, 1]], [0, 0, 1, 1], [0, 1, 0, 1],
+                                [0, 2, 0, 2]),
+         ["eval", "--data", "{path}"], "cosine metric undefined for zero-norm vectors"),
+        ("s.vpfa", EmbeddingSet([[1.0, 0]], [0], [0], [0]), ["project", "--data", "{path}"],
+         "2-d projection needs at least two records"),
+    ], ids=["csv-header", "binary-version", "short-params", "zero-vector", "one-record"])
+    def test_bad_input_exits_1_without_output(self, synth_file, tmp_path, capsys, name,
+                                              content, argv, message):
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            save_set(content, path)
+        names = {"path": path, "synth": synth_file}
+        capsys.readouterr()
+        assert run(*(a.format(**names) for a in argv), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"error: {message.format(**names)}\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--rates", "2,x"], "argument --rates: bad rate list '2,x', expected e.g. 2,3,4"),
+        (["--alpha", "2"], "argument --alpha: bad shift magnitude '2', expected R=V"),
+    ], ids=["rates", "alpha"])
+    def test_malformed_gen_flag_exits_2_with_usage(self, tmp_path, capsys, argv, message):
+        assert run("gen", *argv, "--out", str(tmp_path / "g.vpfa")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: vpfa gen ") and err.endswith(f"vpfa gen: error: {message}\n")
+        assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     def test_negative_identity_in_csv_exits_1(self, tmp_path, capsys):

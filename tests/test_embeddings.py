@@ -748,6 +748,39 @@ class TestPairedRows:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             self.set.paired_rows(rates)
 
+    def test_bad_rates_rejected_after_a_kept_pairing(self):
+        kept = self.set.paired_rows([2])
+        with pytest.raises(ValueError, match=re.escape("LR rates must be distinct, got [2, 2]")):
+            self.set.paired_rows([2, 2])
+        assert self.set.paired_rows((2,)) == kept
+
+    @pytest.mark.parametrize("rates", [None, [3], [4, 2]])
+    def test_kept_pairing_is_built_once(self, rates, monkeypatch):
+        first = self.set.paired_rows(rates)
+
+        def rows_by_identity(*args):
+            raise AssertionError("a kept pairing was built again")
+
+        monkeypatch.setattr(self.set, "rows_by_identity", rows_by_identity)
+        again = self.set.paired_rows(rates)
+        assert again[0] == first[0]
+        assert list(map(id, again[1] + again[2])) == list(map(id, first[1] + first[2]))
+
+    def test_row_arrays_are_read_only(self):
+        ids, hr_rows, lr_rows = self.set.paired_rows()
+        for rows in hr_rows + lr_rows:
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = 0
+
+    def test_a_caller_cannot_change_the_next_callers_pairing(self):
+        ids, hr_rows, lr_rows = self.set.paired_rows([3])
+        want = ids.copy(), list(map(id, hr_rows)), list(map(id, lr_rows))
+        for side in (ids, hr_rows, lr_rows):
+            side.append(side[0])
+            side.reverse()
+        ids, hr_rows, lr_rows = self.set.paired_rows([3])
+        assert (ids, list(map(id, hr_rows)), list(map(id, lr_rows))) == want  # the kept arrays
+
 
 def columns(num=12, dim=5, seed=6):
     """Raw columns of a small set: vectors, identities, cameras, rates."""

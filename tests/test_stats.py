@@ -473,13 +473,18 @@ class TestAnalyzeSet:
 
         s = generate(SynthConfig(dim=6, num_identities=8, samples_per_res=3, rates=(2, 3, 4),
                                  shift_magnitude={2: 1.0, 3: 1.5, 4: 2.0}, seed=2))
-        want = StatsReport(*({rate: analysis(s, rate, **kwargs) for rate in (2, 3, 4)}
+        # the same four arrays in another set, so that ``s`` has paired nothing yet
+        other = EmbeddingSet(s.matrix, s.identity_array, s.camera_array, s.rate_array)
+        want = StatsReport(*({rate: analysis(other, rate, **kwargs) for rate in (2, 3, 4)}
                              for analysis, kwargs in ((split_cosine, {}),
                                                       (cca_with_random_baseline, {}),
                                                       (grouped_pearson, {"num_identities": 5}))))
         monkeypatch.setattr(EmbeddingSet, "rows_by_identity", counted)
         assert analyze_set(s, num_identities=5) == want
         assert calls == {"rows_by_identity": 2 * 3}  # one HR and one LR grouping per rate
+        calls.clear()
+        assert analyze_set(s, num_identities=5) == want
+        assert calls == {}  # the set kept every rate's pairing
 
     def test_set_without_lr_rejected(self):
         s = planted_set(num_identities=4)

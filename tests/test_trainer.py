@@ -415,7 +415,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_rates_rejected(self, field, value):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite and .*, got {value}$"):
             TrainConfig(**{field: value})
 
 
