@@ -443,7 +443,7 @@ def _cmd_centroids(args: argparse.Namespace, outputs: list[str]) -> None:
 
 
 def _cmd_project(args: argparse.Namespace, outputs: list[str]) -> None:
-    sets = [load_set(path, args.format) for path in args.data]
+    sets = (load_set(path, args.format) for path in args.data)  # read after --ids is checked
     rows = project_2d(sets, num_identities=args.ids)
     _write_lines(args.out, ["identity,resolution,x,y"] + [
         f"{identity},{rate_tag(rate)},{x:.17g},{y:.17g}" for identity, rate, x, y in rows

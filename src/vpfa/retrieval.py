@@ -21,6 +21,7 @@ Q x G float64 score matrix and a few arrays of EVAL_BLOCK (or G) elements.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,7 +245,7 @@ def compare_centroids(
 
 
 def project_2d(
-    sets: list[EmbeddingSet], num_identities: int | None = None
+    sets: Iterable[EmbeddingSet], num_identities: int | None = None
 ) -> list[tuple[int, int, float, float]]:
     """Top-2 principal-component coordinates of the pooled records.
 
@@ -252,10 +253,11 @@ def project_2d(
     each component's sign is fixed so its first loading above 1e-12 in
     magnitude is positive.  Rows are (identity, rate, x, y) in pooled record
     order, the rate 0 for HR.  ``num_identities`` keeps the first N sorted
-    identities.
+    identities; it is checked before ``sets`` is read.
     """
     if num_identities is not None and num_identities < 1:
         raise ValueError(f"num_identities must be at least 1, got {num_identities}")
+    sets = list(sets)
     if len({s.dim for s in sets}) > 1:
         raise ValueError("sets have different dimensions")
     ids, rates, x = (np.concatenate([getattr(s, name) for s in sets])

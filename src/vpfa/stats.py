@@ -114,8 +114,9 @@ def check_analysis(cca_eps: float = 1e-6, num_identities: int = 50, group_size: 
     non-negative, a Pearson identity count or group size below 1, a negative seed."""
     if not 0 <= cca_eps < np.inf:  # also false for nan
         raise ValueError(f"eps must be finite and non-negative, got {cca_eps}")
-    if num_identities < 1 or group_size < 1:
-        raise ValueError("num_identities and group_size must be positive")
+    for name, value in (("num_identities", num_identities), ("group_size", group_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
 

@@ -37,17 +37,16 @@ class SynthConfig:
     direction_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        if self.num_identities < 1:
-            raise ValueError("need at least one identity")
-        if self.samples_per_res < 2:
-            raise ValueError("need at least two samples per resolution")
-        if self.cameras < 1:
-            raise ValueError("need at least one camera")
-        for name, seed in (("seed", self.seed), ("direction_seed", self.direction_seed)):
-            if seed is not None and seed < 0:
-                raise ValueError(f"{name} must be non-negative, got {seed}")
+        for name, ok, must in (
+            ("dim", self.dim >= 1, "positive"),
+            ("num_identities", self.num_identities >= 1, "positive"),
+            ("samples_per_res", self.samples_per_res >= 2, "at least 2"),
+            ("cameras", self.cameras >= 1, "positive"),
+            ("seed", self.seed >= 0, "non-negative"),
+            ("direction_seed", (self.direction_seed or 0) >= 0, "non-negative"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {must}, got {getattr(self, name)}")
         scales = {"id_spread": self.id_spread, "sample_noise": self.sample_noise,
                   "shift_noise": self.shift_noise,
                   **{f"shift_magnitude[{r}]": v for r, v in self.shift_magnitude.items()}}

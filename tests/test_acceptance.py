@@ -6,7 +6,9 @@ end-to-end criteria (7-11) share one CLI pipeline fixture: synthetic set,
 """
 
 import hashlib
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,33 +40,32 @@ def read_report(path):
     return out
 
 
+PIPELINE_FILES = {"set": "s.vpfa", "before": "before.txt", "params": "vp.vpnp",
+                  "log": "vp.vpnp.log.csv", "panned": "panned.vpfa", "after": "after.txt",
+                  "centroids": "centroids.txt", "coords": "coords.csv"}
+
+
 def run_pipeline(root):
-    """gen -> eval -> train(120 epochs) -> apply -> eval -> centroids -> project."""
-    paths = {
-        "set": root / "s.vpfa",
-        "before": root / "before.txt",
-        "params": root / "vp.vpnp",
-        "log": root / "vp.vpnp.log.csv",
-        "panned": root / "panned.vpfa",
-        "after": root / "after.txt",
-        "centroids": root / "centroids.txt",
-        "coords": root / "coords.csv",
-    }
-    start = time.perf_counter()
-    run_cli("gen", "--dim", "64", "--ids", "200", "--per-res", "10",
-            "--seed", "7", "--out", str(paths["set"]))
-    run_cli("eval", "--data", str(paths["set"]), "--out", str(paths["before"]))
-    run_cli("train", "--data", str(paths["set"]), "--hidden", "64",
-            "--epochs", "120", "--out", str(paths["params"]))
-    run_cli("apply", "--data", str(paths["set"]), "--params",
-            str(paths["params"]), "--out", str(paths["panned"]))
-    run_cli("eval", "--data", str(paths["panned"]), "--out", str(paths["after"]))
-    run_cli("centroids", "--data", str(paths["set"]), "--params",
-            str(paths["params"]), "--out", str(paths["centroids"]))
-    run_cli("project", "--data", str(paths["set"]), "--data", str(paths["panned"]),
-            "--ids", "12", "--out", str(paths["coords"]))
-    paths["seconds"] = time.perf_counter() - start
-    return paths
+    """gen -> eval -> train(120 epochs) -> apply -> eval -> centroids -> project.
+
+    Run from ``root`` with relative paths, as the benchmark runs it: the reports'
+    source lines hold ``--data`` as given."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        start = time.perf_counter()
+        run_cli("gen", "--dim", "64", "--ids", "200", "--per-res", "10", "--seed", "7",
+                "--out", "s.vpfa")
+        run_cli("eval", "--data", "s.vpfa", "--out", "before.txt")
+        run_cli("train", "--data", "s.vpfa", "--hidden", "64", "--epochs", "120",
+                "--out", "vp.vpnp")
+        run_cli("apply", "--data", "s.vpfa", "--params", "vp.vpnp", "--out", "panned.vpfa")
+        run_cli("eval", "--data", "panned.vpfa", "--out", "after.txt")
+        run_cli("centroids", "--data", "s.vpfa", "--params", "vp.vpnp",
+                "--out", "centroids.txt")
+        run_cli("project", "--data", "s.vpfa", "--data", "panned.vpfa", "--ids", "12",
+                "--out", "coords.csv")
+        seconds = time.perf_counter() - start
+    return {**{key: root / name for key, name in PIPELINE_FILES.items()}, "seconds": seconds}
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +89,7 @@ def test_criterion_01_identity_at_zero():
     start = time.perf_counter()
     out = apply_panning(params, eset)
     elapsed = time.perf_counter() - start
-    bitwise = all(
-        a.vector.tobytes() == b.vector.tobytes()
-        for a, b in zip(out.records, eset.records)
-    )
+    bitwise = all(a.tobytes() == b.tobytes() for a, b in zip(out.matrix, eset.matrix))
     check(1, "identity-at-zero", bitwise and elapsed < 1.0,
           f"bitwise={bitwise}, {elapsed:.3f}s")
 
@@ -229,12 +227,8 @@ def test_criterion_10_determinism(pipeline, tmp_path_factory, monkeypatch):
     same_params = (
         pipeline["params"].read_bytes() == rerun["params"].read_bytes()
     )
-    # report text is identical apart from the source path line
-    def body(path):
-        return [l for l in path.read_text().splitlines()
-                if not l.startswith("source:")]
     same_reports = all(
-        body(pipeline[key]) == body(rerun[key])
+        pipeline[key].read_bytes() == rerun[key].read_bytes()
         for key in ("before", "after", "centroids")
     )
     same_sets = pipeline["set"].read_bytes() == rerun["set"].read_bytes()
@@ -275,29 +269,27 @@ def test_criterion_11_cross_domain(pipeline, tmp_path):
           f"{indep_before:.4f} -> {indep_after:.4f} (no gain required)")
 
 
-# First 16 hex digits of the sha256 of the pipeline's binary artifacts and
-# loss log, which hold no paths; any change to a byte of them shows here.
-GOLDEN_HASHES = {
-    "set": "855928beacc2b4b0",
-    "params": "13a95c4aab9e11b3",
-    "log": "33a5e87e985cc337",
-    "panned": "9ad4759aa5dac756",
-    "coords": "5ff1b82f84924edd",  # the project writer's tags and %.17g coordinates
-}
+# First 16 hex digits of the sha256 of each artifact of the benchmark's desk pipeline, by
+# file name; any change to a byte of them shows here.
+DESK_GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json")
+                         .read_text())["desk_pipeline"]
+
+
+def sha16(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
 def test_golden_artifact_hashes(pipeline):
-    got = {key: hashlib.sha256(pipeline[key].read_bytes()).hexdigest()[:16]
-           for key in GOLDEN_HASHES}
-    assert got == GOLDEN_HASHES
+    want = {name: digest for name, digest in DESK_GOLDEN.items() if name != "stats.txt"}
+    want["vp.vpnp.log.csv"] = "33a5e87e985cc337"  # the loss log, which the benchmark leaves out
+    assert {name: sha16(pipeline["set"].parent / name) for name in want} == want
 
 
 def test_desk_stats_report_hash(pipeline, monkeypatch):
     # the report's source line holds --data as given: run from the set's directory
     monkeypatch.chdir(pipeline["set"].parent)
     run_cli("stats", "--data", "s.vpfa", "--out", "stats.txt")
-    with open("stats.txt", "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest()[:16] == "445bbfb8dc8811a4"
+    assert sha16("stats.txt") == DESK_GOLDEN["stats.txt"]
 
 
 @pytest.mark.parametrize("gen_args, want", [
@@ -311,7 +303,7 @@ def test_per_query_ap_table_hash(tmp_path, gen_args, want):
     run_cli("gen", *gen_args, "--seed", "7", "--out", str(tmp_path / "s.vpfa"))
     run_cli("eval", "--data", str(tmp_path / "s.vpfa"), "--out", str(tmp_path / "e.txt"),
             "--csv", str(tmp_path / "ap.csv"))
-    assert hashlib.sha256((tmp_path / "ap.csv").read_bytes()).hexdigest()[:16] == want
+    assert sha16(tmp_path / "ap.csv") == want
 
 
 def test_criterion_12_parameter_count():

@@ -56,8 +56,8 @@ class TestGen:
             shift_magnitude={2: 1.5}, seed=3,
         ))
         loaded = load_set(out, "bin")
-        for a, b in zip(loaded.records, direct.records):
-            assert a.vector.tobytes() == b.vector.tobytes()
+        for a, b in zip(loaded.matrix, direct.matrix):
+            assert a.tobytes() == b.tobytes()
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -77,7 +77,7 @@ class TestGen:
         out = tmp_path / "s.vpfa"
         run("gen", "--ids", "3", "--per-res", "2",
             "--alpha", "3=1.0", "--alpha", "4=2.0", "--out", str(out))
-        rates = {r.resolution.rate for r in load_set(out, "bin").records}
+        rates = set(load_set(out, "bin").rate_array.tolist())
         assert rates == {0, 3, 4}
 
 
@@ -161,17 +161,20 @@ class TestErrorPaths:
         (["gen", "--seed", "-1"], "seed must be non-negative, got -1"),
         (["gen", "--direction-seed", "-1"], "direction_seed must be non-negative, got -1"),
         (["stats", "--seed", "-1"], "seed must be non-negative, got -1"),
-        (["gen", "--dim", "0"], "dim must be positive"),
-        (["gen", "--ids", "0"], "need at least one identity"),
-        (["gen", "--cameras", "0"], "need at least one camera"),
+        (["gen", "--dim", "0"], "dim must be positive, got 0"),
+        (["gen", "--ids", "0"], "num_identities must be positive, got 0"),
+        (["gen", "--per-res", "1"], "samples_per_res must be at least 2, got 1"),
+        (["gen", "--cameras", "0"], "cameras must be positive, got 0"),
         (["train", "--epochs", "-1"], "epochs must be non-negative, got -1"),
         (["train", "--wd", "-1"], "weight_decay must be finite and non-negative, got -1.0"),
+        (["stats", "--group-size", "1000"],  # over the 50 identities x 6 pairs of the set
+         "not enough difference vectors to form a single group"),
     ], ids=["gen-300", "gen-1", "gen-alpha-0", "gen-repeated", "train-1", "train-300",
             "stats-0", "stats-256", "train-repeated", "stats-repeated", "gen-sigma-proto-inf",
             "gen-sigma-id-nan", "gen-sigma-res-inf", "gen-alpha-inf", "gen-alpha-nan",
             "train-init-std-nan", "train-init-std-inf", "train-init-seed", "gen-seed",
-            "gen-direction-seed", "stats-seed", "gen-dim-0", "gen-ids-0", "gen-cameras-0",
-            "train-epochs", "train-wd"])
+            "gen-direction-seed", "stats-seed", "gen-dim-0", "gen-ids-0", "gen-per-res-1",
+            "gen-cameras-0", "train-epochs", "train-wd", "stats-group-size-over-pool"])
     def test_bad_flag_value_exits_1_without_output(self, synth_file, tmp_path, capsys, argv,
                                                    message):
         data = [] if argv[0] == "gen" else ["--data", str(synth_file)]
@@ -212,8 +215,8 @@ class TestErrorPaths:
         (["--rates", "2,2"], "LR rates must be distinct, got [2, 2]"),
         (["--cca-eps", "nan"], "eps must be finite and non-negative, got nan"),
         (["--cca-eps=-1"], "eps must be finite and non-negative, got -1.0"),
-        (["--pearson-ids", "0"], "num_identities and group_size must be positive"),
-        (["--group-size", "0"], "num_identities and group_size must be positive"),
+        (["--pearson-ids", "0"], "num_identities must be positive, got 0"),
+        (["--group-size", "0"], "group_size must be positive, got 0"),
         (["--seed", "-1"], "seed must be non-negative, got -1"),
     ], ids=["rates", "repeated-rates", "cca-eps-nan", "cca-eps-negative", "pearson-ids",
             "group-size", "seed"])
@@ -698,6 +701,12 @@ class TestCentroidsAndProject:
         assert capsys.readouterr().err == f"error: num_identities must be at least 1, got {ids}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_project_identity_count_is_checked_before_a_set_is_read(self, tmp_path, capsys):
+        assert run("project", "--data", str(tmp_path / "missing.vpfa"), "--ids", "0",
+                   "--out", str(tmp_path / "c.csv")) == 1
+        assert capsys.readouterr().err == "error: num_identities must be at least 1, got 0\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.fixture(scope="module")
 def wide_files(tmp_path_factory):
@@ -770,11 +779,9 @@ class TestInferenceMemory:
 
 def test_no_command_builds_records(tmp_path, monkeypatch):
     """Every command reads a set's arrays and writes tags through ``rate_tag``; none
-    builds the per-record view or a ``Resolution``."""
+    builds the per-record flags that only the benchmark's output check reads."""
     monkeypatch.setattr(EmbeddingSet, "records",
                         property(lambda self: pytest.fail("a command built EmbeddingSet.records")))
-    monkeypatch.setattr(embeddings.Resolution, "__init__",
-                        lambda self, *args: pytest.fail("a command built a Resolution"))
     paths = {name: str(tmp_path / name) for name in
              ("s.vpfa", "s.csv", "stats.txt", "eval.txt", "vp.vpnp", "panned.vpfa", "c.txt",
               "p.csv")}

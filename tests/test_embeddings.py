@@ -32,6 +32,11 @@ def one_row(identity, camera, rate, vector):
     return EmbeddingSet(np.array([vector], dtype=float), [identity], [camera], [rate])
 
 
+def rows_of(s):
+    """Each row of a set as (identity, camera, rate, vector), in order."""
+    return zip(s.identity_array.tolist(), s.camera_array.tolist(), s.rate_array.tolist(), s.matrix)
+
+
 def assert_columns_equal(a, b):
     assert a.dim == b.dim
     for name in ("matrix", "identity_array", "camera_array", "rate_array"):
@@ -39,7 +44,7 @@ def assert_columns_equal(a, b):
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
 
-class TestResolution:
+class TestRateTags:
     def test_parse_and_format(self):
         assert rate_tag(0) == "HR"
         assert rate_tag(4) == "LRx4"
@@ -86,11 +91,6 @@ class TestRecordInvariants:
         with pytest.raises(ValueError, match=r"\(N, dim\)"):
             EmbeddingSet(np.ones(3), [0], [0], [0])
 
-    def test_vectors_are_read_only(self):
-        rec = one_row(0, 0, 0, np.ones(3)).records[0]
-        with pytest.raises(ValueError):
-            rec.vector[0] = 2.0
-
 
 class TestCsvFormat:
     def test_minimal_file(self, tmp_path):
@@ -99,8 +99,8 @@ class TestCsvFormat:
         s = load_set(path, "csv")
         assert s.dim == 3
         assert len(s) == 2
-        assert s.records[1].resolution.rate == 2
-        np.testing.assert_array_equal(s.records[0].vector, [1.0, 2.0, 3.0])
+        assert s.rate_array.tolist() == [0, 2]
+        np.testing.assert_array_equal(s.matrix[0], [1.0, 2.0, 3.0])
 
     def test_empty_record_section(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -308,8 +308,9 @@ def force_chunks(monkeypatch, chunks):
 
 def csv_text(dim=3, rows=12, seed=5):
     s = make_set(num=rows, dim=dim, seed=seed)
-    return "".join(f"{r.identity},{r.camera},{r.resolution},"
-                   + ",".join(format(v, ".17g") for v in r.vector) + "\n" for r in s.records)
+    return "".join(f"{identity},{camera},{rate_tag(rate)},"
+                   + ",".join(format(v, ".17g") for v in vector) + "\n"
+                   for identity, camera, rate, vector in rows_of(s))
 
 
 class TestParallelCsv:
@@ -629,7 +630,7 @@ class TestPartition:
         s = make_set(num=10)
         hr = s.partition(s.rate_array == 0)
         assert len(hr) == 5
-        assert all(r.resolution.is_hr for r in hr.records)
+        assert hr.rate_array.tolist() == [0] * 5
 
     def test_complement_preserves_multiset(self):
         s = make_set(num=30, dim=5, seed=4)
@@ -659,11 +660,12 @@ class TestPartition:
 
 
 def walk_rows_by_identity(eset, keep):
-    """Row indices per identity, one record at a time: the reference grouping."""
+    """Row indices per identity of the rows whose rate ``keep`` takes, one row at a
+    time: the reference grouping."""
     groups = {}
-    for row, rec in enumerate(eset.records):
-        if keep(rec):
-            groups.setdefault(rec.identity, []).append(row)
+    for row, (identity, _, rate, _) in enumerate(rows_of(eset)):
+        if keep(rate):
+            groups.setdefault(identity, []).append(row)
     return {i: groups[i] for i in sorted(groups)}
 
 
@@ -677,10 +679,10 @@ class TestRowsByIdentity:
             rates)
 
     @pytest.mark.parametrize("mask, keep", [
-        (None, lambda r: True),
-        ("hr", lambda r: r.resolution.is_hr),
-        ("rate3", lambda r: r.resolution.rate == 3),
-        ("none", lambda r: False),
+        (None, lambda rate: True),
+        ("hr", lambda rate: rate == 0),
+        ("rate3", lambda rate: rate == 3),
+        ("none", lambda rate: False),
     ])
     def test_equals_the_record_walk(self, mask, keep):
         s = self.set
@@ -717,8 +719,8 @@ class TestPairedRows:
     ])
     def test_equals_the_record_walk(self, rates, lr_rates):
         s = self.set
-        hr = walk_rows_by_identity(s, lambda r: r.resolution.is_hr)
-        lr = walk_rows_by_identity(s, lambda r: r.resolution.rate in lr_rates)
+        hr = walk_rows_by_identity(s, lambda rate: rate == 0)
+        lr = walk_rows_by_identity(s, lambda rate: rate in lr_rates)
         want = sorted(hr.keys() & lr.keys())
         ids, hr_rows, lr_rows = s.paired_rows(rates)
         assert ids == want and len(hr_rows) == len(lr_rows) == len(ids)
@@ -799,31 +801,16 @@ class TestColumnarStorage:
         assert twin.rate_array.dtype == np.uint8 and twin.matrix.dtype == np.float64
         assert twin.identity_array.dtype == twin.camera_array.dtype == np.int64
 
-    def test_records_view_round_trips_and_shares_matrix(self):
-        s = EmbeddingSet(*columns())
-        assert s.records is s.records  # built once
-        rebuilt = EmbeddingSet([r.vector for r in s.records], [r.identity for r in s.records],
-                               [r.camera for r in s.records],
-                               [r.resolution.rate for r in s.records])
-        assert_columns_equal(rebuilt, s)
-        for i, rec in enumerate(s.records):
-            assert np.shares_memory(rec.vector, s.matrix)
-            assert rec.vector.tobytes() == s.matrix[i].tobytes()
-            assert (rec.identity, rec.camera, rec.resolution.rate) == (
-                s.identity_array[i], s.camera_array[i], s.rate_array[i])
-            assert type(rec.identity) is int and type(rec.camera) is int
-
     def test_mask_partition_equals_the_record_filter(self):
         s = make_set(num=30, dim=3, seed=12)
         for mask, pred in (
-            (s.camera_array == 1, lambda r: r.camera == 1),
-            (s.rate_array != 0, lambda r: r.resolution.is_lr),
-            (np.zeros(len(s), dtype=bool), lambda r: False),
+            (s.camera_array == 1, lambda identity, camera, rate, vector: camera == 1),
+            (s.rate_array != 0, lambda identity, camera, rate, vector: rate != 0),
+            (np.zeros(len(s), dtype=bool), lambda *row: False),
         ):
-            kept = [r for r in s.records if pred(r)]
-            filtered = EmbeddingSet(np.array([r.vector for r in kept]).reshape(-1, s.dim),
-                                    [r.identity for r in kept], [r.camera for r in kept],
-                                    [r.resolution.rate for r in kept])
+            kept = [row for row in rows_of(s) if pred(*row)]
+            filtered = EmbeddingSet(np.array([row[3] for row in kept]).reshape(-1, s.dim),
+                                    *([row[k] for row in kept] for k in range(3)))
             assert_columns_equal(s.partition(mask), filtered)
 
     @pytest.mark.parametrize("mask", [[0, 1, 2], np.ones(5, dtype=bool), np.ones((6, 1), dtype=bool),
@@ -839,8 +826,6 @@ class TestColumnarStorage:
             for name in ("matrix", "identity_array", "camera_array", "rate_array"):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(s, name)[0] = 0
-            with pytest.raises(ValueError, match="read-only"):
-                s.records[0].vector[0] = 0.0
 
     def test_constructor_copies_views_and_keeps_owned_arrays(self):
         matrix, ids, cams, rates = (np.array(c) for c in columns())
@@ -967,3 +952,13 @@ class TestColumnarStorage:
             EmbeddingSet(matrix, ids[:5], cams, rates)
         with pytest.raises(ValueError, match="dim"):
             EmbeddingSet(matrix[:, :0], ids, cams, rates)
+
+
+@pytest.mark.parametrize("call", [
+    lambda path: save_set(make_set(), path, "npy"),
+    lambda path: load_set(path, "npy"),
+], ids=["save", "load"])
+def test_unknown_format_rejected(tmp_path, call):
+    with pytest.raises(ValueError, match="^unknown format 'npy'$"):
+        call(tmp_path / "s.npy")
+    assert list(tmp_path.iterdir()) == []

@@ -55,32 +55,28 @@ class TestApplyPanning:
         params = init_params(64, 16, init_std=0.0)
         out = apply_panning(params, s)
         assert len(out) == len(s)
-        for a, b in zip(out.records, s.records):
-            assert a.vector.tobytes() == b.vector.tobytes()
+        for a, b in zip(out.matrix, s.matrix):
+            assert a.tobytes() == b.tobytes()
 
     def test_hr_records_untouched_under_lr_target(self):
         s = generate(SynthConfig(num_identities=5, seed=1))
         params = init_params(64, 16, init_std=0.5, seed=2)
         out = apply_panning(params, s, target="lr")
+        for name in ("identity_array", "camera_array", "rate_array"):
+            assert getattr(out, name).tolist() == getattr(s, name).tolist()
         changed = 0
-        for a, b in zip(out.records, s.records):
-            assert (a.identity, a.camera, a.resolution) == (
-                b.identity, b.camera, b.resolution,
-            )
-            if b.resolution.is_hr:
-                assert a.vector.tobytes() == b.vector.tobytes()
+        for a, b, rate in zip(out.matrix, s.matrix, s.rate_array.tolist()):
+            if rate == 0:
+                assert a.tobytes() == b.tobytes()
             else:
-                changed += a.vector.tobytes() != b.vector.tobytes()
+                changed += a.tobytes() != b.tobytes()
         assert changed > 0
 
     def test_all_target_pans_everything(self):
         s = generate(SynthConfig(num_identities=3, seed=2))
         params = init_params(64, 16, init_std=0.5, seed=3)
         out = apply_panning(params, s, target="all")
-        assert all(
-            a.vector.tobytes() != b.vector.tobytes()
-            for a, b in zip(out.records, s.records)
-        )
+        assert all(a.tobytes() != b.tobytes() for a, b in zip(out.matrix, s.matrix))
 
     def test_dim_mismatch_rejected(self):
         s = generate(SynthConfig(dim=32, num_identities=3, seed=0))
@@ -353,7 +349,7 @@ class TestEvaluateMatchesReference:
         got = evaluate(query, gallery, metric, camera_filter, ks=(1, 2, 5, 10, 30))
         want = reference_evaluate(query, gallery, metric, camera_filter, ks=(1, 2, 5, 10, 30))
         assert got == want
-        relevant = {len([r for r in gallery.records if r.identity == i]) for i in (0, 1)}
+        relevant = {int(np.count_nonzero(gallery.identity_array == i)) for i in (0, 1)}
         assert relevant == {17, 9} and got.num_skipped >= 2
 
     @pytest.mark.parametrize("budget", [1, 100, 1000])
@@ -633,12 +629,13 @@ class TestCentroids:
         ids = rng.integers(0, 9, size=80)
         s = make_set(5, [record(int(i), 0, HR, rng.standard_normal(5)) for i in ids])
         sums, counts = {}, {}
-        for rec in s.records:  # the loop the vectorized sum replaced, in record order
-            if rec.identity in sums:
-                sums[rec.identity] = sums[rec.identity] + rec.vector
+        # the loop the vectorized sum replaced, in record order
+        for identity, vector in zip(s.identity_array.tolist(), s.matrix):
+            if identity in sums:
+                sums[identity] = sums[identity] + vector
             else:
-                sums[rec.identity] = rec.vector.copy()
-            counts[rec.identity] = counts.get(rec.identity, 0) + 1
+                sums[identity] = vector.copy()
+            counts[identity] = counts.get(identity, 0) + 1
         got = retrieval._identity_centroids(s)
         assert sorted(got) == sorted(sums)
         for i in sums:
@@ -709,9 +706,10 @@ class TestProject2d:
                              for k, i in enumerate([5, 1, 9, 1, 3, 7, 5])])
         b = a.partition(a.identity_array != 3)
         rows = project_2d([a, b], num_identities=3)
-        kept = [r for s in (a, b) for r in s.records if r.identity in (1, 3, 5)]
-        assert [(i, rate) for i, rate, _, _ in rows] == [
-            (r.identity, r.resolution.rate) for r in kept]
+        kept = [(i, rate) for s in (a, b)
+                for i, rate in zip(s.identity_array.tolist(), s.rate_array.tolist())
+                if i in (1, 3, 5)]
+        assert [(i, rate) for i, rate, _, _ in rows] == kept
         assert all(type(v) is int for i, rate, _, _ in rows for v in (i, rate))
         assert all(type(v) is float for _, _, x, y in rows for v in (x, y))
 
@@ -742,3 +740,27 @@ class TestProject2d:
             return float(np.mean(gaps))
 
         assert mean_2d_gap(panned) < 0.25 * mean_2d_gap(s)
+
+
+def refusal_sets():
+    """A 4-d set of identities 0-2 and a 3-d one."""
+    return (generate(SynthConfig(dim=4, num_identities=3, samples_per_res=2, seed=1)),
+            generate(SynthConfig(dim=3, num_identities=3, samples_per_res=2, seed=1)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda s, t: apply_panning(init_params(4, 3), s, target="hr"), ValueError,
+     "unknown target 'hr'"),
+    (lambda s, t: evaluate(*split(s), metric="manhattan"), ValueError,
+     "unknown metric 'manhattan'"),
+    (lambda s, t: evaluate(split(s)[0], split(t)[1]), ValueError, "query dim 4 != gallery dim 3"),
+    (lambda s, t: centroid_distances(s, t), ValueError, "sets have different dimensions"),
+    (lambda s, t: compare_centroids(s, s, t), ValueError, "sets have different dimensions"),
+    (lambda s, t: compare_centroids(s, s.partition(s.identity_array == 0),
+                                    s.partition(s.identity_array == 1)),
+     DataError, "no identity present in both comparisons"),
+], ids=["apply-target", "eval-metric", "eval-dims", "centroid-dims", "compare-dims",
+        "compare-no-shared-identity"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call(*refusal_sets())

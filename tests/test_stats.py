@@ -178,14 +178,17 @@ def planted_set(**overrides):
     return generate(SynthConfig(**base))
 
 
+def rows_of(s):
+    """Each row of a set as (identity, camera, rate, vector), in order."""
+    return zip(s.identity_array.tolist(), s.camera_array.tolist(), s.rate_array.tolist(), s.matrix)
+
+
 def brute_force_split_shift(eset, rate, ids):
     """Recompute a half's mean-shift vector by explicit loops."""
     hr_means, lr_means = [], []
     for identity in ids:
-        hr = [r.vector for r in eset.records
-              if r.identity == identity and r.resolution.is_hr]
-        lr = [r.vector for r in eset.records
-              if r.identity == identity and r.resolution.rate == rate]
+        hr = [v for i, _, r, v in rows_of(eset) if i == identity and r == 0]
+        lr = [v for i, _, r, v in rows_of(eset) if i == identity and r == rate]
         hr_means.append(np.mean(hr, axis=0))
         lr_means.append(np.mean(lr, axis=0))
     return np.mean(hr_means, axis=0) - np.mean(lr_means, axis=0)
@@ -205,7 +208,7 @@ class TestSplitCosine:
         s = planted_set()
         entry = split_cosine(s, 2)
         assert entry.cosine >= 0.95
-        ids = sorted({r.identity for r in s.records})
+        ids = sorted(set(s.identity_array.tolist()))
         first, second = ids[:50], ids[50:]
         v1 = brute_force_split_shift(s, 2, first)
         v2 = brute_force_split_shift(s, 2, second)
@@ -253,11 +256,9 @@ class TestCcaWithRandomBaseline:
         # rebuild the same paired matrices and cross-check via the
         # generalized-eigenproblem oracle
         hr_rows, lr_rows = [], []
-        for identity in sorted({r.identity for r in s.records}):
-            hrs = [r.vector for r in s.records
-                   if r.identity == identity and r.resolution.is_hr]
-            lrs = [r.vector for r in s.records
-                   if r.identity == identity and r.resolution.rate == 2]
+        for identity in sorted(set(s.identity_array.tolist())):
+            hrs = [v for i, _, r, v in rows_of(s) if i == identity and r == 0]
+            lrs = [v for i, _, r, v in rows_of(s) if i == identity and r == 2]
             for h, l in zip(hrs, lrs):
                 hr_rows.append(h)
                 lr_rows.append(l)
@@ -303,11 +304,9 @@ class TestGroupedPearson:
         entry = grouped_pearson(s, 2, num_identities=6, group_size=2, seed=9)
         # same grouping, correlation recomputed independently
         diffs = []
-        for identity in sorted({r.identity for r in s.records}):
-            hrs = [r.vector for r in s.records
-                   if r.identity == identity and r.resolution.is_hr]
-            lrs = [r.vector for r in s.records
-                   if r.identity == identity and r.resolution.rate == 2]
+        for identity in sorted(set(s.identity_array.tolist())):
+            hrs = [v for i, _, r, v in rows_of(s) if i == identity and r == 0]
+            lrs = [v for i, _, r, v in rows_of(s) if i == identity and r == 2]
             diffs += [h - l for h, l in zip(hrs, lrs)]
         g = np.mean(diffs, axis=0)
         order = np.random.default_rng(9).permutation(len(diffs))
@@ -338,13 +337,13 @@ def test_negative_seed_is_named(analysis):
 
 
 def walk_groups(eset, rate):
-    """HR and LR-at-rate vectors per identity, walked one record at a time."""
+    """HR and LR-at-rate vectors per identity, walked one row at a time."""
     hr, lrs = {}, {}
-    for rec in eset.records:
-        if rec.resolution.is_hr:
-            hr.setdefault(rec.identity, []).append(rec.vector)
-        elif rec.resolution.rate == rate:
-            lrs.setdefault(rec.identity, []).append(rec.vector)
+    for identity, _, r, vector in rows_of(eset):
+        if r == 0:
+            hr.setdefault(identity, []).append(vector)
+        elif r == rate:
+            lrs.setdefault(identity, []).append(vector)
     return hr, lrs, sorted(set(hr) & set(lrs))
 
 
@@ -491,3 +490,23 @@ class TestAnalyzeSet:
         s = s.partition(s.rate_array == 0)
         with pytest.raises(DataError, match="no LR"):
             analyze_set(s)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda s: pearson([1.0], [2.0]), ValueError, "pearson needs at least two samples"),
+    (lambda s: cca_top_k(np.eye(3), np.eye(3), k=0), ValueError, "k must be positive"),
+    (lambda s: cca_top_k(np.eye(3), np.eye(4)), ValueError,
+     "X and Y must be 2-d with the same number of rows"),
+    (lambda s: cca_top_k(np.eye(3), np.diag([1.0, np.inf, 1.0])), ValueError,
+     "CCA input contains non-finite values"),
+    (lambda s: cca_with_random_baseline(s, 2, rows="per_identity"), ValueError,
+     "unknown row mode 'per_identity'"),
+    (lambda s: cca_with_random_baseline(s.partition(s.rate_array == 0), 2), DataError,
+     "no identities with both HR and LRx2 records"),
+    (lambda s: grouped_pearson(s, 2, num_identities=4, group_size=41), DataError,
+     "not enough difference vectors to form a single group"),
+], ids=["pearson-one-sample", "cca-k", "cca-rows", "cca-non-finite", "cca-row-mode",
+        "cca-no-pair", "pearson-group-over-pool"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call(planted_set(dim=4, num_identities=4))

@@ -6,11 +6,12 @@ from vpfa.synthgen import SynthConfig, generate, planted_direction
 
 
 def brute_force_centroids(eset):
-    """Per-identity centroids recomputed by plain iteration over records."""
+    """Per-identity centroids recomputed by plain iteration over rows."""
     hr, lr = {}, {}
-    for rec in eset.records:
-        box = hr if rec.resolution.is_hr else lr
-        box.setdefault(rec.identity, []).append(rec.vector)
+    for identity, rate, vector in zip(eset.identity_array.tolist(), eset.rate_array.tolist(),
+                                      eset.matrix):
+        box = hr if rate == 0 else lr
+        box.setdefault(identity, []).append(vector)
     hr_cent = {i: np.mean(v, axis=0) for i, v in hr.items()}
     lr_cent = {i: np.mean(v, axis=0) for i, v in lr.items()}
     return hr_cent, lr_cent
@@ -40,7 +41,7 @@ def reference_generate(cfg):
 
 class TestConfigValidation:
     def test_needs_two_samples_per_resolution(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^samples_per_res must be at least 2, got 1$"):
             SynthConfig(samples_per_res=1)
 
     @pytest.mark.parametrize("rates, message", [
@@ -125,7 +126,7 @@ class TestGenerate:
             for rate in (0, 2, 4):
                 for j in range(3):
                     expected.append((identity, j % 2, rate))
-        got = [(r.identity, r.camera, r.resolution.rate) for r in s.records]
+        got = list(zip(s.identity_array.tolist(), s.camera_array.tolist(), s.rate_array.tolist()))
         assert got == expected
 
     @pytest.mark.parametrize("cameras", [4, 2**63 - 1, 2**63, 2**64])
@@ -198,5 +199,4 @@ class TestPlantedDirection:
                                  direction_seed=5)
         # zero shift magnitude: records must be identical, the prototype
         # stream cannot depend on the direction override
-        for ra, rb in zip(generate(base).records, generate(overridden).records):
-            np.testing.assert_array_equal(ra.vector, rb.vector)
+        np.testing.assert_array_equal(generate(base).matrix, generate(overridden).matrix)

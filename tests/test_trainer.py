@@ -108,13 +108,14 @@ class TestBuildPrototypePairs:
 
 
 def record_groups(eset, rates=None):
-    """Per-identity HR and LR vectors in record order, walked one record at a time."""
+    """Per-identity HR and LR vectors in record order, walked one row at a time."""
     hr, lr = {}, {}
-    for rec in eset.records:
-        if rec.resolution.is_hr:
-            hr.setdefault(rec.identity, []).append(rec.vector)
-        elif rates is None or rec.resolution.rate in rates:
-            lr.setdefault(rec.identity, []).append(rec.vector)
+    for identity, rate, vector in zip(eset.identity_array.tolist(), eset.rate_array.tolist(),
+                                      eset.matrix):
+        if rate == 0:
+            hr.setdefault(identity, []).append(vector)
+        elif rates is None or rate in rates:
+            lr.setdefault(identity, []).append(vector)
     return hr, lr
 
 
@@ -621,3 +622,16 @@ class TestTrainingPairs:
     def test_repeated_rate_rejected(self):
         with pytest.raises(ValueError, match=r"^LR rates must be distinct, got \[2, 2\]$"):
             training_pairs(tiny_set(), TrainConfig(num_pairs=4), rates=[2, 2])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: vpl_loss(np.zeros((2, 3)), np.zeros((2, 4))), "loss operands must have equal shapes"),
+    (lambda: vpl_loss(np.zeros(3), np.zeros((1, 3))), "loss operands must have equal shapes"),
+    (lambda: VPParams(2, 3, np.zeros(2 * parameter_count(2, 3))[::2]),
+     "flat parameters must be a contiguous float64 vector"),
+    (lambda: VPParams(2, 3, np.zeros(parameter_count(2, 3), np.float32)),
+     "flat parameters must be a contiguous float64 vector"),
+], ids=["loss-columns", "loss-rank", "params-strided", "params-float32"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
